@@ -1,0 +1,64 @@
+"""Golden outputs: fixed CLI runs whose files must not change by a single byte.
+
+Each case reruns one command and compares every file it writes with the copy
+committed under ``tests/golden/<case>/``. The cases are the three
+criterion-11 commands, the full-width envariance run on qx5 and a parity run
+with the circuit cross-check. Regenerate the copies only when outputs are
+meant to change, and record why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from qghz.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "compile-parity-qx5-n15": [
+        "compile", "--map", "qx5", "--experiment", "parity", "-n", "15",
+        "--pattern", "10", "--dump-path", "--dump-circuit",
+    ],
+    "envariance-qx4-n5": [
+        "envariance", "--map", "qx4", "-n", "5", "--shots", "1024", "--reps", "5", "--seed", "17",
+    ],
+    "parity-qx5-n4-eta0.25": [
+        "parity", "--map", "qx5", "-n", "4", "--pattern", "11", "--eta", "0.25",
+        "--queries", "1:32", "--reps", "100", "--seed", "23",
+    ],
+    "envariance-qx5-n16": [
+        "envariance", "--map", "qx5", "-n", "16", "--shots", "8192", "--reps", "100", "--seed", "0",
+    ],
+    "parity-qx5-n4-cross-check": [
+        "parity", "--map", "qx5", "-n", "4", "--pattern", "10", "--eta", "0.1",
+        "--queries", "1:64", "--reps", "50", "--seed", "3", "--cross-check",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_bytes(case, tmp_path):
+    out = tmp_path / case
+    assert main(CASES[case] + ["--out", str(out)]) == 0
+    expected = sorted(p.name for p in (GOLDEN / case).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), f"{case}/{name} differs"
+
+
+def regenerate() -> None:
+    """Rewrite every golden directory from the current code."""
+    for case, argv in CASES.items():
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        if main(argv + ["--out", str(GOLDEN / case)]) != 0:
+            raise SystemExit(f"{case}: command failed")
+
+
+if __name__ == "__main__":
+    regenerate()
