@@ -20,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import OraclePattern, build_envariance, build_parity, effective_a
+from .circuits import Circuit, OraclePattern, build_envariance, build_parity, effective_a
 from .coupling import CouplingMap, most_connected, rank_all
 from .paths import ConnectionPath, create_path
 from .simulator import (
     Histogram,
     NoisySampleConfig,
+    draw_histogram,
+    outcome_distribution,
     sample,
     sample_noisy_oracle,
     spawn_seeds,
@@ -77,15 +79,19 @@ def path_for(cmap: CouplingMap, n: int) -> ConnectionPath:
     return create_path(cmap, most_connected(rank_all(cmap)), n)
 
 
-def envariance_histograms(cmap: CouplingMap, n: int, shots: int, repetitions: int, seed) -> list[Histogram]:
-    """One sampled histogram per repetition of the envariance circuit."""
+def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) -> list[Histogram]:
+    """One sampled histogram per repetition of an envariance circuit.
+
+    The circuit is simulated once; each repetition draws from its outcome
+    distribution with its own derived seed.
+    """
+    n = len(circuit.measured_qubits)
     if n < 2:
         raise ValueError(f"envariance experiments need n >= 2, got {n}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
-    circuit = build_envariance(cmap, path_for(cmap, n))
-    seeds = spawn_seeds(seed, repetitions)
-    return [sample(circuit, shots, s) for s in seeds]
+    keys, probs = outcome_distribution(circuit)
+    return [draw_histogram(keys, probs, shots, s) for s in spawn_seeds(seed, repetitions)]
 
 
 def b_per_repetition(histograms: list[Histogram], n: int) -> list[float]:
@@ -104,7 +110,8 @@ def fidelity_from_histograms(histograms: list[Histogram], n: int) -> FidelityRep
 
 def fidelity_experiment(cmap: CouplingMap, n: int, shots: int, repetitions: int, seed) -> FidelityReport:
     """Sample the envariance circuit ``repetitions`` times and report B and I95."""
-    return fidelity_from_histograms(envariance_histograms(cmap, n, shots, repetitions, seed), n)
+    circuit = build_envariance(cmap, path_for(cmap, n))
+    return fidelity_from_histograms(envariance_histograms(circuit, shots, repetitions, seed), n)
 
 
 def majority_vote(samples, n: int) -> str:

@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import kernels
 from .analysis import (
     b_per_repetition,
     circuit_oracle_crosscheck,
@@ -79,8 +80,10 @@ def parse_queries(spec: str, sweep: str, step: int) -> list[int]:
     """Expand a query-count spec: 'N', 'N,M,...', or 'START:END'.
 
     Ranges grow geometrically (doubling, end included) or linearly with
-    ``step``, per the --sweep flag.
+    ``step``, per the --sweep flag; ``step`` must be at least 1.
     """
+    if step < 1:
+        raise UsageError(f"--step must be at least 1, got {step}")
     spec = spec.strip()
     if ":" in spec:
         start_s, end_s = spec.split(":", 1)
@@ -171,7 +174,7 @@ def _cmd_envariance(args) -> int:
     circuit = build_envariance(cmap, path_for(cmap, args.n))
     qasm = _checked_qasm(cmap, circuit)
 
-    histograms = envariance_histograms(cmap, args.n, args.shots, args.reps, args.seed)
+    histograms = envariance_histograms(circuit, args.shots, args.reps, args.seed)
     report = fidelity_from_histograms(histograms, args.n)
     freq_maps = [frequencies(h) for h in histograms]
     keys = sorted({k for f in freq_maps for k in f})
@@ -326,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        kernels.active_backend()  # rejects a bad QGHZ_KERNELS before any work
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -25,11 +25,16 @@ class MapFormatError(ValueError):
     """A map document failed validation; the message names the offending field."""
 
 
+def _is_index(value) -> bool:
+    """A plain int; JSON true/false parse as bools, which are ints in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class CouplingMap:
     """Directed CNOT-connectivity graph over ``num_qubits`` physical qubits."""
 
     def __init__(self, num_qubits: int, edges, name: str = ""):
-        if not isinstance(num_qubits, int) or num_qubits <= 0:
+        if not _is_index(num_qubits) or num_qubits <= 0:
             raise MapFormatError(f"num_qubits must be a positive integer, got {num_qubits!r}")
         seen: set[tuple[int, int]] = set()
         for i, edge in enumerate(edges):
@@ -37,7 +42,7 @@ class CouplingMap:
                 control, target = edge
             except (TypeError, ValueError):
                 raise MapFormatError(f"edges[{i}]: expected a [control, target] pair, got {edge!r}") from None
-            if not isinstance(control, int) or not isinstance(target, int):
+            if not _is_index(control) or not _is_index(target):
                 raise MapFormatError(f"edges[{i}]: qubit indices must be integers, got {edge!r}")
             if not (0 <= control < num_qubits) or not (0 <= target < num_qubits):
                 raise MapFormatError(f"edges[{i}]: index out of range [0, {num_qubits}) in ({control}, {target})")

@@ -13,7 +13,9 @@ checking the numpy set, not for campaigns.
 Backend selection, in order:
 
 * ``set_backend("numba"|"numpy")`` at runtime;
-* the ``QGHZ_KERNELS`` environment variable (same two values);
+* the ``QGHZ_KERNELS`` environment variable (same two values), read on
+  first use, so an unknown value raises ``ValueError`` there and not at
+  import;
 * default: numba when importable, numpy otherwise.
 
 Amplitude indexing is little-endian: qubit i is bit i of the array index.
@@ -152,11 +154,18 @@ def _default_backend() -> str:
     return "numba" if NUMBA_AVAILABLE else "numpy"
 
 
-_active = _default_backend()
+_active: str | None = None  # resolved on first use
 
 
 def active_backend() -> str:
+    global _active
+    if _active is None:
+        _active = _default_backend()
     return _active
+
+
+def _kernel(name: str):
+    return _BACKENDS[_active or active_backend()][name]
 
 
 def set_backend(name: str) -> None:
@@ -170,15 +179,15 @@ def set_backend(name: str) -> None:
 
 
 def apply_h(amps: np.ndarray, qubit: int) -> None:
-    _BACKENDS[_active]["h"](amps, qubit)
+    _kernel("h")(amps, qubit)
 
 
 def apply_x(amps: np.ndarray, qubit: int) -> None:
-    _BACKENDS[_active]["x"](amps, qubit)
+    _kernel("x")(amps, qubit)
 
 
 def apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    _BACKENDS[_active]["cnot"](amps, control, target)
+    _kernel("cnot")(amps, control, target)
 
 
 def marginal_probs(amps: np.ndarray, qubits) -> np.ndarray:
@@ -189,4 +198,4 @@ def marginal_probs(amps: np.ndarray, qubits) -> np.ndarray:
     measured qubit leftmost.
     """
     qubits = np.asarray(qubits, dtype=np.int64)
-    return _BACKENDS[_active]["marginal"](amps, qubits)
+    return _kernel("marginal")(amps, qubits)

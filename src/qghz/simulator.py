@@ -7,6 +7,15 @@ is the default without numba). Measurement happens
 once at circuit end: ``sample`` draws from the exact joint distribution of
 the measured qubits, marginalized over the rest.
 
+A circuit's distribution is computed once, on a copy relabelled onto its
+involved qubits (those any gate touches, plus the measured ones), so the
+20-qubit cap counts the qubits a circuit uses, not the size of its
+coupling map. The relabel keeps ascending physical order, which keeps every
+amplitude and every marginal sum bit-identical to a full-width run.
+Repetitions draw from that one distribution: a multinomial over its nonzero
+support, which gives the same counts as one over all 2^k outcomes, since
+numpy's binomial draws consume no random numbers for p = 0.
+
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
 integer seed. Derived per-repetition seeds use SeedSequence.spawn.
@@ -65,7 +74,11 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def run_exact(circuit: Circuit, max_qubits: int = MAX_SIMULATED_QUBITS) -> StateVector:
-    """State after all non-measure gates, starting from |0...0>."""
+    """State after all non-measure gates, starting from |0...0>.
+
+    Simulates every qubit of the circuit's width; the sampling functions call
+    it on a copy relabelled onto the involved qubits.
+    """
     if circuit.width > max_qubits:
         raise ValueError(f"circuit width {circuit.width} exceeds the simulator maximum of {max_qubits}")
     state = zero_state(circuit.width)
@@ -75,14 +88,50 @@ def run_exact(circuit: Circuit, max_qubits: int = MAX_SIMULATED_QUBITS) -> State
     return state
 
 
-def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact outcome probabilities over the measured qubits (zeros dropped)."""
+def _relabel_onto_involved(circuit: Circuit) -> Circuit:
+    """Copy of the circuit over its involved qubits, relabelled 0..m-1 in ascending order."""
+    involved = set(circuit.measured_qubits)
+    for gate in circuit.gates:
+        involved.update(gate.operands[:1] if gate.kind == MEASURE else gate.operands)
+    index = {q: i for i, q in enumerate(sorted(involved))}
+    gates = tuple(
+        Gate(MEASURE, (index[g.operands[0]], g.operands[1])) if g.kind == MEASURE
+        else Gate(g.kind, tuple(index[q] for q in g.operands))
+        for g in circuit.gates
+    )
+    return Circuit(len(index), gates, tuple(index[q] for q in circuit.measured_qubits))
+
+
+def outcome_distribution(circuit: Circuit) -> tuple[list[str], np.ndarray]:
+    """(keys, probabilities) of the measured outcomes with nonzero probability.
+
+    Keys are bitstrings in classical-bit order (first measured qubit
+    leftmost), ascending; probabilities are normalised over all 2^k outcomes
+    before the zero ones are dropped.
+    """
     if not circuit.measured_qubits:
         raise ValueError("circuit declares no measured qubits")
-    state = run_exact(circuit)
-    probs = kernels.marginal_probs(state.amplitudes, circuit.measured_qubits)
-    k = len(circuit.measured_qubits)
-    return {format(i, f"0{k}b"): float(p) for i, p in enumerate(probs) if p > 0.0}
+    compact = _relabel_onto_involved(circuit)
+    state = run_exact(compact)
+    probs = kernels.marginal_probs(state.amplitudes, compact.measured_qubits)
+    probs = probs / probs.sum()
+    support = np.flatnonzero(probs)
+    k = len(compact.measured_qubits)
+    return [format(int(i), f"0{k}b") for i in support], probs[support]
+
+
+def exact_distribution(circuit: Circuit) -> dict[str, float]:
+    """Exact outcome probabilities over the measured qubits (zeros dropped)."""
+    keys, probs = outcome_distribution(circuit)
+    return {key: float(p) for key, p in zip(keys, probs)}
+
+
+def draw_histogram(keys: list[str], probs: np.ndarray, shots: int, seed) -> Histogram:
+    """Histogram of ``shots`` draws from an outcome distribution; only observed keys appear."""
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, probs)
+    return {key: int(c) for key, c in zip(keys, counts) if c > 0}
 
 
 def sample(circuit: Circuit, shots: int, seed) -> Histogram:
@@ -91,17 +140,8 @@ def sample(circuit: Circuit, shots: int, seed) -> Histogram:
     Keys are bitstrings in classical-bit order (first measured qubit
     leftmost); only observed outcomes appear. Deterministic given the seed.
     """
-    if not circuit.measured_qubits:
-        raise ValueError("circuit declares no measured qubits")
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    state = run_exact(circuit)
-    probs = kernels.marginal_probs(state.amplitudes, circuit.measured_qubits)
-    probs = probs / probs.sum()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    counts = rng.multinomial(shots, probs)
-    k = len(circuit.measured_qubits)
-    return {format(i, f"0{k}b"): int(c) for i, c in enumerate(counts) if c > 0}
+    keys, probs = outcome_distribution(circuit)
+    return draw_histogram(keys, probs, shots, seed)
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,35 @@ def reparse_qasm(text: str):
     return width, creg_size, ops
 
 
+def _reference_marginal(circuit) -> np.ndarray:
+    """Normalised marginal over all 2^k outcomes of a full-width simulation."""
+    from qghz import kernels
+    from qghz.simulator import run_exact
+
+    state = run_exact(circuit)
+    probs = kernels.marginal_probs(state.amplitudes, circuit.measured_qubits)
+    return probs / probs.sum()
+
+
+def reference_distribution(circuit) -> dict[str, float]:
+    """Outcome probabilities from a full-width run, zeros dropped."""
+    k = len(circuit.measured_qubits)
+    return {format(i, f"0{k}b"): float(p) for i, p in enumerate(_reference_marginal(circuit)) if p > 0.0}
+
+
+def reference_sample(circuit, shots: int, seed) -> dict[str, int]:
+    """Histogram by the plain algorithm: simulate every qubit of the circuit's
+    width, marginalise, and draw one multinomial over all 2^k outcomes.
+
+    Unlike the rest of this module it reuses the package's gate kernels, so
+    that the sampler that simulates only the involved qubits and draws over
+    the nonzero support can be held to bit-for-bit equality with it.
+    """
+    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, _reference_marginal(circuit))
+    k = len(circuit.measured_qubits)
+    return {format(i, f"0{k}b"): int(c) for i, c in enumerate(counts) if c > 0}
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +232,23 @@ class TestParseQueries:
         assert parse_queries("1,5,10", "geometric", 1) == [1, 5, 10]
         assert parse_queries("7", "geometric", 1) == [7]
 
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_rejects_non_positive_step(self, step):
+        from qghz.cli import UsageError
+
+        with pytest.raises(UsageError, match="--step"):
+            parse_queries("1:8", "linear", step)
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_non_positive_step_is_one_error_line(self, step, tmp_path, capsys):
+        code = run_cli(
+            "parity", "--map", "qx4", "-n", "2", "--pattern", "11", "--queries", "1:8",
+            "--sweep", "linear", "--step", step, "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --step") and err.count("\n") == 1
+
     def test_rejects_bad_ranges(self):
         from qghz.cli import UsageError
 
@@ -241,3 +261,38 @@ class TestParseQueries:
 def test_usage_error_exits_one(capsys):
     assert run_cli("compile", "--map", "qx4") == 1  # missing required flags
     assert capsys.readouterr().err
+
+
+def test_unknown_kernel_backend_is_one_error_line(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "qghz.cli", "envariance", "--map", "qx5", "-n", "2", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "QGHZ_KERNELS": "cuda"},
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: QGHZ_KERNELS") and result.stderr.count("\n") == 1
+
+
+class TestWideMap:
+    """The simulator cap counts the qubits a circuit touches, not the map size."""
+
+    @pytest.fixture
+    def line25(self, tmp_path):
+        path = tmp_path / "line25.json"
+        path.write_text(json.dumps({"num_qubits": 25, "edges": [[i, i + 1] for i in range(24)]}))
+        return str(path)
+
+    def test_envariance(self, line25, tmp_path):
+        out = tmp_path / "env"
+        assert run_cli("envariance", "--map", line25, "-n", "3", "--reps", "2", "--out", str(out)) == 0
+        results = read_json(out / "results.json")
+        assert all(set(h) <= {"000", "111"} for h in results["histograms"])
+        assert reparse_qasm((out / "circuit.qasm").read_text())[0] == 25
+
+    def test_parity_cross_check(self, line25, tmp_path):
+        out = tmp_path / "parity"
+        assert run_cli(
+            "parity", "--map", line25, "-n", "3", "--pattern", "11", "--queries", "4",
+            "--reps", "10", "--cross-check", "--out", str(out),
+        ) == 0
+        assert read_json(out / "results.json")["cross_check_tv"] < 0.02

@@ -59,6 +59,14 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="num_qubits"):
             load_map({"num_qubits": 0, "edges": []})
 
+    def test_bool_size_rejected(self):
+        with pytest.raises(MapFormatError, match="num_qubits"):
+            load_map('{"num_qubits": true, "edges": []}')
+
+    def test_bool_edge_index_rejected(self):
+        with pytest.raises(MapFormatError, match=r"edges\[0\].*integers"):
+            load_map('{"num_qubits": 3, "edges": [[true, 2]]}')
+
 
 class TestBundledMaps:
     def test_qx4_matches_transcription(self):

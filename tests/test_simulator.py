@@ -3,10 +3,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import binomial_4sigma
-from qghz import kernels
-from qghz.circuits import Circuit, OraclePattern, build_envariance, build_ghz, build_parity, cnot, h, measure, x
-from qghz.coupling import CouplingMap, bundled_map
+from oracles import binomial_4sigma, reference_distribution, reference_sample
+from qghz import kernels, simulator
+from qghz.analysis import envariance_histograms
+from qghz.circuits import (
+    MEASURE,
+    Circuit,
+    Gate,
+    OraclePattern,
+    build_envariance,
+    build_ghz,
+    build_parity,
+    cnot,
+    h,
+    measure,
+    with_measurements,
+    x,
+)
+from qghz.coupling import CouplingMap, bundled_map, line_map
 from qghz.paths import create_path
 from qghz.simulator import (
     NoisySampleConfig,
@@ -190,6 +204,107 @@ class TestSample:
         circuit = Circuit(width=2, gates=ghz.gates + (measure(0, 0),), measured_qubits=(0,))
         dist = exact_distribution(circuit)
         assert dist == pytest.approx({"0": 0.5, "1": 0.5})
+
+
+def random_circuit(rng, width: int, num_gates: int = 12) -> Circuit:
+    """Random h/x/cx circuit on a few qubits of a wide register.
+
+    Measures an ordered subset of the touched qubits, sometimes plus one
+    qubit no gate touches.
+    """
+    touched = [int(q) for q in rng.choice(width, size=int(rng.integers(2, min(width, 6) + 1)), replace=False)]
+    gates = []
+    for _ in range(num_gates):
+        kind = int(rng.integers(0, 3))
+        if kind == 2:
+            control, target = rng.choice(touched, size=2, replace=False)
+            gates.append(cnot(int(control), int(target)))
+        else:
+            gates.append([h, x][kind](int(rng.choice(touched))))
+    measured = [int(q) for q in rng.permutation(touched)[: int(rng.integers(1, len(touched) + 1))]]
+    idle = sorted(set(range(width)) - set(touched))
+    if idle and rng.random() < 0.5:
+        measured.insert(int(rng.integers(0, len(measured) + 1)), int(rng.choice(idle)))
+    return with_measurements(Circuit(width, tuple(gates)), measured)
+
+
+def builder_circuits():
+    for name, sizes in (("qx4", (2, 3, 5)), ("qx5", (2, 7, 16))):
+        cmap = bundled_map(name)
+        for n in sizes:
+            path = create_path(cmap, 4 if name == "qx5" else 0, n)
+            yield build_envariance(cmap, path)
+            yield with_measurements(build_ghz(cmap, path), path.involved())
+            if n > 2:
+                yield build_parity(cmap, path, OraclePattern.HALF)
+
+
+class TestSamplingMatchesFullWidthReference:
+    """Simulating only the involved qubits and drawing over the nonzero
+    support gives exactly the histograms of the full-width algorithm."""
+
+    @pytest.mark.parametrize("map_name", ["qx4", "qx5"])
+    def test_random_circuits(self, map_name, rng):
+        width = bundled_map(map_name).num_qubits
+        largest_support = 0
+        for _ in range(25):
+            circuit = random_circuit(rng, width)
+            distribution = exact_distribution(circuit)
+            assert distribution == reference_distribution(circuit)
+            largest_support = max(largest_support, len(distribution))
+            for seed in (0, 7, 11):
+                for shots in (1, 1000, 100_000):
+                    assert sample(circuit, shots, seed) == reference_sample(circuit, shots, seed)
+        assert largest_support > 2
+
+    def test_builder_circuits(self):
+        for circuit in builder_circuits():
+            assert exact_distribution(circuit) == reference_distribution(circuit)
+            for seed in (0, 3, 17):
+                assert sample(circuit, 8192, seed) == reference_sample(circuit, 8192, seed)
+
+    @pytest.mark.parametrize("map_name,n", [("qx4", 5), ("qx5", 2), ("qx5", 16)])
+    def test_envariance_histograms(self, map_name, n):
+        cmap = bundled_map(map_name)
+        circuit = build_envariance(cmap, create_path(cmap, 0 if map_name == "qx4" else 4, n))
+        for seed in (0, 7, 11):
+            expected = [reference_sample(circuit, 8192, s) for s in spawn_seeds(seed, 10)]
+            assert envariance_histograms(circuit, 8192, 10, seed) == expected
+
+    def test_loop_kernels_agree(self, backend, rng):
+        for _ in range(5):
+            circuit = random_circuit(rng, 5)
+            assert sample(circuit, 4096, 5) == reference_sample(circuit, 4096, 5)
+
+    def test_simulates_involved_qubits_only(self, monkeypatch):
+        simulated = []
+        run_exact_full = simulator.run_exact
+
+        def recording(circuit, *args):
+            simulated.append(circuit)
+            return run_exact_full(circuit, *args)
+
+        monkeypatch.setattr(simulator, "run_exact", recording)
+        cmap = line_map(25)
+        circuit = build_envariance(cmap, create_path(cmap, 24, 3))
+        assert set(sample(circuit, 1000, seed=1)) <= {"000", "111"}
+        [compact] = simulated
+        # Qubits 22, 23, 24 become 0, 1, 2 in the same order; gates and
+        # classical bits are otherwise unchanged.
+        assert compact.width == 3
+        assert compact.measured_qubits == (2, 1, 0)
+        physical = (22, 23, 24)
+        restored = tuple(
+            Gate(g.kind, (physical[g.operands[0]], g.operands[1]) if g.kind == MEASURE
+                 else tuple(physical[q] for q in g.operands))
+            for g in compact.gates
+        )
+        assert restored == circuit.gates
+
+    def test_involved_width_is_capped(self):
+        cmap = line_map(25)
+        with pytest.raises(ValueError, match="exceeds"):
+            sample(build_envariance(cmap, create_path(cmap, 24, 21)), 10, seed=0)
 
 
 class TestNoisyOracle:
