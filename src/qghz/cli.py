@@ -14,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import kernels
 from .analysis import (
     b_per_repetition,
     circuit_oracle_crosscheck,
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        kernels.active_backend()  # rejects a bad QGHZ_KERNELS before any work
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

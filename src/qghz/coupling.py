@@ -20,6 +20,9 @@ import numpy as np
 
 BUNDLED_MAPS = ("qx4", "qx5")
 
+# Largest num_qubits a map may declare; checked before any per-qubit allocation.
+MAX_MAP_QUBITS = 100_000
+
 
 class MapFormatError(ValueError):
     """A map document failed validation; the message names the offending field."""
@@ -36,6 +39,8 @@ class CouplingMap:
     def __init__(self, num_qubits: int, edges, name: str = ""):
         if not _is_index(num_qubits) or num_qubits <= 0:
             raise MapFormatError(f"num_qubits must be a positive integer, got {num_qubits!r}")
+        if num_qubits > MAX_MAP_QUBITS:
+            raise MapFormatError(f"num_qubits {num_qubits} exceeds the limit of {MAX_MAP_QUBITS}")
         seen: set[tuple[int, int]] = set()
         for i, edge in enumerate(edges):
             try:

@@ -1,11 +1,9 @@
 """Exact state-vector simulation, shot sampling, and the noisy parity oracle.
 
-States start at |0...0> and evolve under h/x/cnot through the kernels
-module (identical results from either backend: the loop set, numba-compiled
-when numba is importable and interpreted otherwise, or the numpy set, which
-is the default without numba). Measurement happens
-once at circuit end: ``sample`` draws from the exact joint distribution of
-the measured qubits, marginalized over the rest.
+States start at |0...0> and evolve under h/x/cnot through the numpy
+kernels of the kernels module. Measurement happens once at circuit end:
+``sample`` draws from the exact joint distribution of the measured qubits,
+marginalized over the rest.
 
 A circuit's distribution is computed once, on a copy relabelled onto its
 involved qubits (those any gate touches, plus the measured ones), so the

@@ -3,8 +3,11 @@
 Everything here is deliberately written against the underlying math, not
 against the package code paths it checks: reachability ranks come from a
 boolean-matrix closure, tree checks from union-find, QASM checks from a
-line-oriented reparse, and the learner error rate from exact enumeration
-with rational arithmetic.
+line-oriented reparse, the learner error rate from exact enumeration
+with rational arithmetic, and gate action from dense Kronecker-product
+unitaries. The element-wise loop kernels restate the package's kernel
+arithmetic one amplitude at a time, so the package can be held to them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -134,31 +137,126 @@ def reparse_qasm(text: str):
     return width, creg_size, ops
 
 
-def _reference_marginal(circuit) -> np.ndarray:
-    """Normalised marginal over all 2^k outcomes of a full-width simulation."""
-    from qghz import kernels
-    from qghz.simulator import run_exact
+_INV_SQRT2 = 0.5 ** 0.5
 
-    state = run_exact(circuit)
-    probs = kernels.marginal_probs(state.amplitudes, circuit.measured_qubits)
+
+def h_loop(amps, qubit):
+    qbit = 1 << qubit
+    for i in range(amps.shape[0]):
+        if (i & qbit) == 0:
+            j = i | qbit
+            a0 = amps[i]
+            a1 = amps[j]
+            amps[i] = (a0 + a1) * _INV_SQRT2
+            amps[j] = (a0 - a1) * _INV_SQRT2
+
+
+def x_loop(amps, qubit):
+    qbit = 1 << qubit
+    for i in range(amps.shape[0]):
+        if (i & qbit) == 0:
+            j = i | qbit
+            amps[i], amps[j] = amps[j], amps[i]
+
+
+def cnot_loop(amps, control, target):
+    cbit = 1 << control
+    tbit = 1 << target
+    for i in range(amps.shape[0]):
+        if (i & cbit) != 0 and (i & tbit) == 0:
+            j = i | tbit
+            amps[i], amps[j] = amps[j], amps[i]
+
+
+def marginal_loop(amps, qubits) -> np.ndarray:
+    """Outcome probabilities, first measured qubit as the most significant key bit."""
+    out = np.zeros(1 << len(qubits), dtype=np.float64)
+    for i in range(amps.shape[0]):
+        p = amps[i].real * amps[i].real + amps[i].imag * amps[i].imag
+        key = 0
+        for q in qubits:
+            key = (key << 1) | ((i >> q) & 1)
+        out[key] += p
+    return out
+
+
+def loop_run_exact(circuit) -> np.ndarray:
+    """Amplitudes after the circuit's unitary gates, from |0...0>, by the loop kernels."""
+    amps = np.zeros(1 << circuit.width, dtype=np.complex128)
+    amps[0] = 1.0
+    loops = {"h": h_loop, "x": x_loop, "cnot": cnot_loop}
+    for gate in circuit.gates:
+        if gate.kind in loops:
+            loops[gate.kind](amps, *gate.operands)
+    return amps
+
+
+_GATE_MATRICES = {
+    "h": np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2,
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "p0": np.diag([1.0, 0.0]),
+    "p1": np.diag([0.0, 1.0]),
+}
+
+
+def _kron_ops(num_qubits: int, ops: dict) -> np.ndarray:
+    """Tensor product with ``ops[q]`` on qubit q and identity elsewhere.
+
+    Qubit 0 is the rightmost factor, so it is the low bit of the index.
+    """
+    out = np.ones((1, 1))
+    for q in reversed(range(num_qubits)):
+        out = np.kron(out, _GATE_MATRICES[ops[q]] if q in ops else np.eye(2))
+    return out
+
+
+def dense_unitary(num_qubits: int, kind: str, *qubits) -> np.ndarray:
+    """Full 2^n x 2^n matrix of an h, x or cnot gate."""
+    if kind == "cnot":
+        control, target = qubits
+        return _kron_ops(num_qubits, {control: "p0"}) + _kron_ops(num_qubits, {control: "p1", target: "x"})
+    (qubit,) = qubits
+    return _kron_ops(num_qubits, {qubit: kind})
+
+
+def marginal_bruteforce(amps, qubits) -> np.ndarray:
+    """Outcome probabilities by reading each index's measured bits as a bitstring."""
+    out = np.zeros(1 << len(qubits))
+    for i, amp in enumerate(amps):
+        bits = format(i, f"0{len(amps).bit_length()}b")[::-1]  # bits[q] is qubit q
+        out[int("".join(bits[q] for q in qubits), 2)] += abs(amp) ** 2
+    return out
+
+
+def _reference_marginal(circuit, loops: bool) -> np.ndarray:
+    """Normalised marginal over all 2^k outcomes of a full-width simulation."""
+    if loops:
+        probs = marginal_loop(loop_run_exact(circuit), circuit.measured_qubits)
+    else:
+        from qghz import kernels
+        from qghz.simulator import run_exact
+
+        probs = kernels.marginal_probs(run_exact(circuit).amplitudes, circuit.measured_qubits)
     return probs / probs.sum()
 
 
-def reference_distribution(circuit) -> dict[str, float]:
+def reference_distribution(circuit, loops: bool = False) -> dict[str, float]:
     """Outcome probabilities from a full-width run, zeros dropped."""
     k = len(circuit.measured_qubits)
-    return {format(i, f"0{k}b"): float(p) for i, p in enumerate(_reference_marginal(circuit)) if p > 0.0}
+    return {format(i, f"0{k}b"): float(p) for i, p in enumerate(_reference_marginal(circuit, loops)) if p > 0.0}
 
 
-def reference_sample(circuit, shots: int, seed) -> dict[str, int]:
+def reference_sample(circuit, shots: int, seed, loops: bool = False) -> dict[str, int]:
     """Histogram by the plain algorithm: simulate every qubit of the circuit's
     width, marginalise, and draw one multinomial over all 2^k outcomes.
 
-    Unlike the rest of this module it reuses the package's gate kernels, so
-    that the sampler that simulates only the involved qubits and draws over
-    the nonzero support can be held to bit-for-bit equality with it.
+    By default it reuses the package's kernels, which is fast enough for
+    16-qubit maps, so that the sampler that simulates only the involved
+    qubits and draws over the nonzero support can be held to bit-for-bit
+    equality with it. ``loops=True`` simulates with the loop kernels above
+    instead, for small circuits.
     """
-    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, _reference_marginal(circuit))
+    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, _reference_marginal(circuit, loops))
     k = len(circuit.measured_qubits)
     return {format(i, f"0{k}b"): int(c) for i, c in enumerate(counts) if c > 0}
 

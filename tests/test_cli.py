@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -263,14 +262,18 @@ def test_usage_error_exits_one(capsys):
     assert capsys.readouterr().err
 
 
-def test_unknown_kernel_backend_is_one_error_line(tmp_path):
+def test_oversized_map_is_one_error_line(tmp_path):
+    from qghz.coupling import MAX_MAP_QUBITS
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"num_qubits": MAX_MAP_QUBITS + 1, "edges": []}))
     result = subprocess.run(
-        [sys.executable, "-m", "qghz.cli", "envariance", "--map", "qx5", "-n", "2", "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env={**os.environ, "QGHZ_KERNELS": "cuda"},
+        [sys.executable, "-m", "qghz.cli", "rank", "--map", str(path)],
+        capture_output=True, text=True,
     )
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error: QGHZ_KERNELS") and result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: num_qubits") and result.stderr.count("\n") == 1
 
 
 class TestWideMap:

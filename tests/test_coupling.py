@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import QX4_EDGES, QX5_EDGES, closure_ranks
 from qghz.coupling import (
+    MAX_MAP_QUBITS,
     CouplingMap,
     MapFormatError,
     bundled_map,
@@ -62,6 +63,10 @@ class TestLoadMap:
     def test_bool_size_rejected(self):
         with pytest.raises(MapFormatError, match="num_qubits"):
             load_map('{"num_qubits": true, "edges": []}')
+
+    def test_size_above_limit_rejected(self):
+        with pytest.raises(MapFormatError, match="exceeds the limit"):
+            load_map({"num_qubits": MAX_MAP_QUBITS + 1, "edges": []})
 
     def test_bool_edge_index_rejected(self):
         with pytest.raises(MapFormatError, match=r"edges\[0\].*integers"):

@@ -1,111 +1,52 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from oracles import cnot_loop, dense_unitary, h_loop, marginal_bruteforce, marginal_loop, x_loop
 from qghz import kernels
 
-PROBE = "import qghz.kernels as k; print(k.active_backend())"
 
-
-class TestBackendSelection:
-    def test_default_prefers_numba_when_available(self):
-        result = subprocess.run(
-            [sys.executable, "-c", PROBE],
-            capture_output=True, text=True, env={**os.environ, "QGHZ_KERNELS": ""},
-        )
-        assert result.stdout.strip() == ("numba" if kernels.NUMBA_AVAILABLE else "numpy")
-
-    def test_env_flag_forces_numpy_fallback(self):
-        result = subprocess.run(
-            [sys.executable, "-c", PROBE],
-            capture_output=True, text=True, env={**os.environ, "QGHZ_KERNELS": "numpy"},
-        )
-        assert result.stdout.strip() == "numpy"
-
-    def test_env_flag_rejects_unknown_backend(self):
-        result = subprocess.run(
-            [sys.executable, "-c", PROBE],
-            capture_output=True, text=True, env={**os.environ, "QGHZ_KERNELS": "cuda"},
-        )
-        assert result.returncode != 0
-        assert "QGHZ_KERNELS" in result.stderr
-
-    def test_set_backend_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("fortran")
-
-    def test_set_backend_round_trip(self):
-        previous = kernels.active_backend()
-        try:
-            kernels.set_backend("numpy")
-            assert kernels.active_backend() == "numpy"
-        finally:
-            kernels.set_backend(previous)
-
-    def test_set_backend_numba_round_trip_with_or_without_numba(self):
-        previous = kernels.active_backend()
-        try:
-            kernels.set_backend("numba")
-            assert kernels.active_backend() == "numba"
-            amps = np.zeros(4, dtype=np.complex128)
-            amps[0] = 1.0
-            kernels.apply_h(amps, 0)
-            np.testing.assert_array_equal(amps, [0.5 ** 0.5, 0.5 ** 0.5, 0, 0])
-        finally:
-            kernels.set_backend(previous)
-
-    def test_env_flag_selects_numba_with_or_without_numba(self):
-        result = subprocess.run(
-            [sys.executable, "-c", PROBE],
-            capture_output=True, text=True, env={**os.environ, "QGHZ_KERNELS": "numba"},
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "numba"
+def random_state(n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return (amps / np.linalg.norm(amps)).astype(np.complex128)
 
 
 class TestKernelAgreement:
-    """Both backends perform the same arithmetic; results match bit for bit."""
-
-    def random_state(self, n, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        return (amps / np.linalg.norm(amps)).astype(np.complex128)
+    """The numpy kernels match the element-wise loop oracle bit for bit."""
 
     @pytest.mark.parametrize("qubit", [0, 2, 4])
     def test_h_agreement(self, qubit):
-        a = self.random_state(5, 3)
+        a = random_state(5, 3)
         b = a.copy()
-        kernels._h_numba(a, qubit)
-        kernels._h_numpy(b, qubit)
+        h_loop(a, qubit)
+        kernels.apply_h(b, qubit)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("qubit", [0, 3])
     def test_x_agreement(self, qubit):
-        a = self.random_state(4, 5)
+        a = random_state(4, 5)
         b = a.copy()
-        kernels._x_numba(a, qubit)
-        kernels._x_numpy(b, qubit)
+        x_loop(a, qubit)
+        kernels.apply_x(b, qubit)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("control,target", [(0, 1), (3, 0), (2, 4)])
     def test_cnot_agreement(self, control, target):
-        a = self.random_state(5, 7)
+        a = random_state(5, 7)
         b = a.copy()
-        kernels._cnot_numba(a, control, target)
-        kernels._cnot_numpy(b, control, target)
+        cnot_loop(a, control, target)
+        kernels.apply_cnot(b, control, target)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("qubits", [(0,), (2, 0), (1, 3, 2)])
     def test_marginal_agreement(self, qubits):
-        amps = self.random_state(4, 11)
-        qarray = np.asarray(qubits, dtype=np.int64)
-        a = kernels._marginal_probs_numba(amps, qarray)
-        b = kernels._marginal_probs_numpy(amps, qarray)
+        amps = random_state(4, 11)
+        a = marginal_loop(amps, qubits)
+        b = kernels.marginal_probs(amps, qubits)
         np.testing.assert_array_equal(a, b)
         assert a.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -119,11 +60,32 @@ class TestKernelAgreement:
         assert probs.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
-def test_benchmark_smoke(capsys):
-    from qghz.bench import main as bench_main
+class TestDenseUnitaryOracle:
+    """Every qubit and ordered pair at n <= 5 against Kronecker-product matrices."""
 
-    assert bench_main(["--qubits", "8", "--repeats", "1", "--shots", "64"]) == 0
-    out = capsys.readouterr().out
-    assert "numpy" in out
-    if kernels.NUMBA_AVAILABLE:
-        assert "speedup" in out
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_single_qubit_gates(self, n):
+        for qubit in range(n):
+            for kind, kernel in (("h", kernels.apply_h), ("x", kernels.apply_x)):
+                amps = random_state(n, 100 * n + qubit)
+                expected = dense_unitary(n, kind, qubit) @ amps
+                kernel(amps, qubit)
+                np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cnot(self, n):
+        for control, target in permutations(range(n), 2):
+            amps = random_state(n, 100 * n + 10 * control + target)
+            expected = dense_unitary(n, "cnot", control, target) @ amps
+            kernels.apply_cnot(amps, control, target)
+            np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_marginal_against_per_index_sum(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        amps = random_state(n, n)
+        for k in range(1, n + 1):
+            qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+            np.testing.assert_allclose(
+                kernels.marginal_probs(amps, qubits), marginal_bruteforce(amps, qubits), rtol=0, atol=1e-12,
+            )

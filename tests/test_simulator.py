@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import binomial_4sigma, reference_distribution, reference_sample
-from qghz import kernels, simulator
+from oracles import binomial_4sigma, loop_run_exact, reference_distribution, reference_sample
+from qghz import simulator
 from qghz.analysis import envariance_histograms
 from qghz.circuits import (
     MEASURE,
@@ -36,20 +36,12 @@ from qghz.simulator import (
 INV_SQRT2 = 2 ** -0.5
 
 
-@pytest.fixture(params=["numba", "numpy"])
-def backend(request):
-    previous = kernels.active_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(previous)
-
-
 class TestGateAction:
-    def test_h_on_zero(self, backend):
+    def test_h_on_zero(self):
         state = apply_gate(zero_state(1), h(0))
         np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
-    def test_x_is_an_involution(self, backend, rng):
+    def test_x_is_an_involution(self, rng):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
         state = zero_state(3)
@@ -58,7 +50,7 @@ class TestGateAction:
         twice = apply_gate(once, x(1))
         np.testing.assert_allclose(twice.amplitudes, amps, atol=1e-15)
 
-    def test_cnot_builds_bell_pair(self, backend):
+    def test_cnot_builds_bell_pair(self):
         plus = apply_gate(zero_state(2), h(0))  # (|00> + |10>)/sqrt(2), qubit 0 = low bit
         bell = apply_gate(plus, cnot(0, 1))
         np.testing.assert_allclose(bell.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
@@ -85,7 +77,7 @@ class TestRunExact:
         expected[0] = 1.0
         np.testing.assert_array_equal(state.amplitudes, expected)
 
-    def test_ghz_closed_form(self, backend):
+    def test_ghz_closed_form(self):
         cmap = bundled_map("qx4")
         path = create_path(cmap, 0, 5)
         state = run_exact(build_ghz(cmap, path))
@@ -94,7 +86,7 @@ class TestRunExact:
         expected[31] = INV_SQRT2
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
-    def test_envariance_state_equals_ghz_state(self, backend):
+    def test_envariance_state_equals_ghz_state(self):
         cmap = bundled_map("qx4")
         path = create_path(cmap, 0, 5)
         ghz = run_exact(build_ghz(cmap, path))
@@ -129,18 +121,10 @@ class TestRunExact:
             back = apply_gate(apply_gate(state, gate), gate)
             np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
-    def test_backends_agree_bit_for_bit(self):
+    def test_matches_loop_oracle_bit_for_bit(self):
         cmap = bundled_map("qx5")
         circuit = build_ghz(cmap, create_path(cmap, 4, 16))
-        previous = kernels.active_backend()
-        try:
-            kernels.set_backend("numba")
-            amps_numba = run_exact(circuit).amplitudes
-            kernels.set_backend("numpy")
-            amps_numpy = run_exact(circuit).amplitudes
-        finally:
-            kernels.set_backend(previous)
-        np.testing.assert_array_equal(amps_numba, amps_numpy)
+        np.testing.assert_array_equal(run_exact(circuit).amplitudes, loop_run_exact(circuit))
 
 
 class TestSample:
@@ -149,7 +133,7 @@ class TestSample:
         path = create_path(cmap, 0, 2)
         return build_envariance(cmap, path)
 
-    def test_ghz_two_peaks_only(self, backend):
+    def test_ghz_two_peaks_only(self):
         histogram = sample(self.bell_circuit(), shots=8192, seed=11)
         assert set(histogram) <= {"00", "11"}
         assert sum(histogram.values()) == 8192
@@ -173,17 +157,9 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(self.bell_circuit(), 0, seed=0)
 
-    def test_backends_draw_identical_histograms(self):
+    def test_draws_loop_oracle_histogram(self):
         circuit = self.bell_circuit()
-        previous = kernels.active_backend()
-        try:
-            kernels.set_backend("numba")
-            hist_numba = sample(circuit, 4096, seed=5)
-            kernels.set_backend("numpy")
-            hist_numpy = sample(circuit, 4096, seed=5)
-        finally:
-            kernels.set_backend(previous)
-        assert hist_numba == hist_numpy
+        assert sample(circuit, 4096, seed=5) == reference_sample(circuit, 4096, 5, loops=True)
 
     def test_frequencies_match_exact_probabilities_within_4_sigma(self):
         # parity circuit on 4 qubits has a nontrivial marginal over 4 bits
@@ -271,10 +247,11 @@ class TestSamplingMatchesFullWidthReference:
             expected = [reference_sample(circuit, 8192, s) for s in spawn_seeds(seed, 10)]
             assert envariance_histograms(circuit, 8192, 10, seed) == expected
 
-    def test_loop_kernels_agree(self, backend, rng):
+    def test_loop_kernels_agree(self, rng):
         for _ in range(5):
             circuit = random_circuit(rng, 5)
-            assert sample(circuit, 4096, 5) == reference_sample(circuit, 4096, 5)
+            assert exact_distribution(circuit) == reference_distribution(circuit, loops=True)
+            assert sample(circuit, 4096, 5) == reference_sample(circuit, 4096, 5, loops=True)
 
     def test_simulates_involved_qubits_only(self, monkeypatch):
         simulated = []
