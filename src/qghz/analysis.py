@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, OraclePattern, build_envariance, build_parity, effective_a
+from .circuits import Circuit, build_envariance
 from .coupling import CouplingMap, most_connected, rank_all
 from .paths import ConnectionPath, create_path
 from .simulator import (
@@ -100,9 +100,9 @@ def b_per_repetition(histograms: list[Histogram], n: int) -> list[float]:
     return [bhattacharyya(frequencies(h), ideal) for h in histograms]
 
 
-def fidelity_from_histograms(histograms: list[Histogram], n: int) -> FidelityReport:
+def fidelity_report(b_values: list[float]) -> FidelityReport:
     """Average the per-repetition fidelities; I95 = 1.96 s / sqrt(m), 0 for m = 1."""
-    values = np.array(b_per_repetition(histograms, n))
+    values = np.array(b_values)
     m = len(values)
     i95 = 0.0 if m == 1 else 1.96 * float(np.std(values, ddof=1)) / math.sqrt(m)
     return FidelityReport(b_mean=float(values.mean()), i95=i95, repetitions=m)
@@ -111,7 +111,7 @@ def fidelity_from_histograms(histograms: list[Histogram], n: int) -> FidelityRep
 def fidelity_experiment(cmap: CouplingMap, n: int, shots: int, repetitions: int, seed) -> FidelityReport:
     """Sample the envariance circuit ``repetitions`` times and report B and I95."""
     circuit = build_envariance(cmap, path_for(cmap, n))
-    return fidelity_from_histograms(envariance_histograms(circuit, shots, repetitions, seed), n)
+    return fidelity_report(b_per_repetition(envariance_histograms(circuit, shots, repetitions, seed), n))
 
 
 def majority_vote(samples, n: int) -> str:
@@ -178,25 +178,17 @@ def oracle_sample_distribution(samples) -> Distribution:
     return {k: v / total for k, v in counts.items()}
 
 
-def circuit_oracle_crosscheck(
-    cmap: CouplingMap, n: int, pattern: OraclePattern, shots: int, seed
-) -> float:
+def circuit_oracle_crosscheck(circuit: Circuit, a_string: str, shots: int, seed) -> float:
     """Total-variation distance between circuit sampling and the classical oracle.
 
-    Samples the compiled parity circuit (noiseless) and the eta = 0
-    classical sampler with the circuit's effective encoded string, both for
-    ``shots`` draws, and compares the empirical (query, result)
+    Samples a compiled parity circuit (noiseless) and the eta = 0 classical
+    sampler with the circuit's effective encoded string ``a_string``, both
+    for ``shots`` draws, and compares the empirical (query, result)
     distributions. The circuit's first measured qubit is the result qubit.
     """
-    path = path_for(cmap, n + 1)
-    circuit = build_parity(cmap, path, pattern)
-    a_string = effective_a(path, pattern)
     circuit_seed, oracle_seed = spawn_seeds(seed, 2)
-
     histogram = sample(circuit, shots, circuit_seed)
-    circuit_dist: dict[str, float] = {}
-    for key, count in histogram.items():
-        circuit_dist[f"{key[1:]}:{key[0]}"] = count / shots
+    circuit_dist = {f"{key[1:]}:{key[0]}": count / shots for key, count in histogram.items()}
 
     config = NoisySampleConfig(eta=0.0, a_string=a_string)
     oracle_dist = oracle_sample_distribution(sample_noisy_oracle(config, shots, oracle_seed))

@@ -3,13 +3,18 @@
 Every file-writing run produces a directory with manifest.json plus its
 result files; the manifest records the command, map, parameters (seed
 included) and output file names, which is enough to reproduce the run
-byte-for-byte. Exit codes: 0 success, 1 validation error, 2 I/O error.
+byte-for-byte. Each command computes every file's text before it creates
+the directory, so a run that fails on its input or in the simulator writes
+no files. The simulator cap counts involved qubits (at most 20), so
+``parity --cross-check`` needs n + 1 <= 20.
+Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -18,12 +23,13 @@ from .analysis import (
     b_per_repetition,
     circuit_oracle_crosscheck,
     envariance_histograms,
-    fidelity_from_histograms,
+    fidelity_report,
     frequencies,
     path_for,
     perr_curve,
 )
 from .circuits import (
+    IllegalCouplingError,
     OraclePattern,
     build_envariance,
     build_ghz,
@@ -34,13 +40,12 @@ from .circuits import (
     verify_legality,
     with_measurements,
 )
-from .circuits import IllegalCouplingError
 from .coupling import MapFormatError, most_connected, rank_all, resolve_map
 from .paths import UnreachableQubitsError
-from .simulator import NoisySampleConfig
+from .simulator import MAX_SIMULATED_QUBITS, NoisySampleConfig
 
-CROSSCHECK_MAX_N = 4
 CROSSCHECK_SHOTS = 100_000
+MAX_QUERIES = 1 << 20
 
 
 class UsageError(ValueError):
@@ -52,62 +57,56 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_dir: Path, command: str, map_name: str, parameters: dict, outputs: list[str]) -> None:
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "command": command,
-            "map_name": map_name,
-            "parameters": parameters,
-            "output_paths": outputs,
-        },
-    )
+def _csv_text(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def _checked_qasm(cmap, circuit) -> str:
-    violations = verify_legality(cmap, circuit)
-    if violations:
-        raise RuntimeError("compiler produced an illegal circuit: " + "; ".join(violations))
-    return emit_qasm(circuit)
+def _write_run(out: str, command: str, map_name: str, parameters: dict, files: dict[str, str]) -> None:
+    """Create ``out``, write each named text, then manifest.json listing them in order."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, newline="")
+    manifest = {"command": command, "map_name": map_name, "parameters": parameters, "output_paths": list(files)}
+    (out_dir / "manifest.json").write_text(_json_text(manifest), newline="")
 
 
 def parse_queries(spec: str, sweep: str, step: int) -> list[int]:
     """Expand a query-count spec: 'N', 'N,M,...', or 'START:END'.
 
     Ranges grow geometrically (doubling, end included) or linearly with
-    ``step``, per the --sweep flag; ``step`` must be at least 1.
+    ``step``, per the --sweep flag; ``step`` must be at least 1. Every count
+    must be at most ``MAX_QUERIES``, checked before a range is expanded.
     """
     if step < 1:
         raise UsageError(f"--step must be at least 1, got {step}")
     spec = spec.strip()
-    if ":" in spec:
-        start_s, end_s = spec.split(":", 1)
-        start, end = int(start_s), int(end_s)
-        if start < 1 or end < start:
-            raise UsageError(f"bad query range {spec!r}: need 1 <= start <= end")
-        if sweep == "linear":
-            values = list(range(start, end + 1, step))
-            if values[-1] != end:
-                values.append(end)
-            return values
-        values = []
-        q = start
-        while q < end:
-            values.append(q)
-            q *= 2
-        values.append(end)
+    is_range = ":" in spec
+    values = [int(tok) for tok in (spec.split(":", 1) if is_range else spec.split(","))]
+    if max(values) > MAX_QUERIES:
+        raise UsageError(f"query counts must be at most {MAX_QUERIES}: {spec!r}")
+    if not is_range:
+        if min(values) < 1:
+            raise UsageError(f"query counts must be positive: {spec!r}")
         return values
-    if "," in spec:
-        values = [int(tok) for tok in spec.split(",")]
-    else:
-        values = [int(spec)]
-    if any(v < 1 for v in values):
-        raise UsageError(f"query counts must be positive: {spec!r}")
-    return values
+    start, end = values
+    if start < 1 or end < start:
+        raise UsageError(f"bad query range {spec!r}: need 1 <= start <= end")
+    if sweep == "linear":
+        return list(range(start, end, step)) + [end]
+    values = []
+    while start < end:
+        values.append(start)
+        start *= 2
+    return values + [end]
 
 
 def _cmd_rank(args) -> int:
@@ -123,10 +122,11 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _build_experiment(cmap, experiment: str, n: int, pattern: str | None):
-    """Returns (circuit, path, effective_a or None); validates pattern usage."""
+def _compiled(cmap, experiment: str, n: int, pattern: str | None):
+    """Returns (circuit, path, effective a or None, legality-checked QASM); validates pattern usage."""
     if experiment != "parity" and pattern is not None:
         raise UsageError(f"--pattern applies only to parity circuits, not {experiment!r}")
+    a_string = None
     if experiment == "parity":
         if pattern is None:
             raise UsageError("parity circuits need --pattern {00,10,11}")
@@ -134,84 +134,63 @@ def _build_experiment(cmap, experiment: str, n: int, pattern: str | None):
             raise UsageError("parity circuits need at least one query qubit")
         path = path_for(cmap, n + 1)
         oracle = OraclePattern(pattern)
-        return build_parity(cmap, path, oracle), path, effective_a(path, oracle)
-    path = path_for(cmap, n)
-    if experiment == "ghz":
-        return with_measurements(build_ghz(cmap, path), path.involved()), path, None
-    return build_envariance(cmap, path), path, None
+        circuit, a_string = build_parity(cmap, path, oracle), effective_a(path, oracle)
+    elif experiment == "ghz":
+        path = path_for(cmap, n)
+        circuit = with_measurements(build_ghz(cmap, path), path.involved())
+    else:
+        path = path_for(cmap, n)
+        circuit = build_envariance(cmap, path)
+    violations = verify_legality(cmap, circuit)
+    if violations:
+        raise RuntimeError("compiler produced an illegal circuit: " + "; ".join(violations))
+    return circuit, path, a_string, emit_qasm(circuit)
 
 
 def _cmd_compile(args) -> int:
     cmap = resolve_map(args.map)
-    circuit, path, a_string = _build_experiment(cmap, args.experiment, args.n, args.pattern)
-    qasm = _checked_qasm(cmap, circuit)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = ["circuit.qasm"]
-    (out_dir / "circuit.qasm").write_text(qasm)
+    circuit, path, a_string, qasm = _compiled(cmap, args.experiment, args.n, args.pattern)
+    files = {"circuit.qasm": qasm}
     if args.dump_path:
-        _write_json(out_dir / "path.json", {"root": path.root, "pairs": [list(p) for p in path.pairs]})
-        outputs.append("path.json")
+        files["path.json"] = _json_text({"root": path.root, "pairs": [list(p) for p in path.pairs]})
     if args.dump_circuit:
-        _write_json(out_dir / "circuit.json", circuit_to_json_dict(circuit))
-        outputs.append("circuit.json")
-
+        files["circuit.json"] = _json_text(circuit_to_json_dict(circuit))
     parameters = {"experiment": args.experiment, "n": args.n}
-    if args.experiment == "parity":
-        parameters["pattern"] = args.pattern
-        parameters["effective_a"] = a_string
+    if a_string is not None:
+        parameters.update(pattern=args.pattern, effective_a=a_string)
+    _write_run(args.out, "compile", cmap.name, parameters, files)
+    if a_string is not None:
         print(f"effective a: {a_string}")
-    _write_manifest(out_dir, "compile", cmap.name, parameters, outputs)
     counts = circuit.counts()
-    print(f"wrote {out_dir / 'circuit.qasm'} ({circuit.width} qubits, {len(circuit.gates)} gates: {counts})")
+    print(f"wrote {Path(args.out) / 'circuit.qasm'} ({circuit.width} qubits, {len(circuit.gates)} gates: {counts})")
     return 0
 
 
 def _cmd_envariance(args) -> int:
     cmap = resolve_map(args.map)
-    circuit = build_envariance(cmap, path_for(cmap, args.n))
-    qasm = _checked_qasm(cmap, circuit)
-
+    circuit, _, _, qasm = _compiled(cmap, "envariance", args.n, None)
     histograms = envariance_histograms(circuit, args.shots, args.reps, args.seed)
-    report = fidelity_from_histograms(histograms, args.n)
+    b_values = b_per_repetition(histograms, args.n)
+    report = fidelity_report(b_values)
     freq_maps = [frequencies(h) for h in histograms]
     keys = sorted({k for f in freq_maps for k in f})
     averaged = {k: sum(f.get(k, 0.0) for f in freq_maps) / len(freq_maps) for k in keys}
-
-    b_values = b_per_repetition(histograms, args.n)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "circuit.qasm").write_text(qasm)
-    _write_json(
-        out_dir / "results.json",
-        {
-            "experiment": "envariance",
-            "map": cmap.name,
-            "n": args.n,
-            "shots": args.shots,
-            "repetitions": args.reps,
-            "seed": args.seed,
-            "histograms": histograms,
-            "averaged_histogram": averaged,
-            "b_values": b_values,
-            "b_mean": report.b_mean,
-            "i95": report.i95,
-        },
-    )
-    with open(out_dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["repetition", "b"])
-        for i, b in enumerate(b_values):
-            writer.writerow([i, b])
-    _write_manifest(
-        out_dir,
-        "envariance",
-        cmap.name,
-        {"n": args.n, "shots": args.shots, "repetitions": args.reps, "seed": args.seed},
-        ["circuit.qasm", "results.json", "results.csv"],
-    )
+    parameters = {"n": args.n, "shots": args.shots, "repetitions": args.reps, "seed": args.seed}
+    results = {
+        "experiment": "envariance",
+        "map": cmap.name,
+        **parameters,
+        "histograms": histograms,
+        "averaged_histogram": averaged,
+        "b_values": b_values,
+        "b_mean": report.b_mean,
+        "i95": report.i95,
+    }
+    _write_run(args.out, "envariance", cmap.name, parameters, {
+        "circuit.qasm": qasm,
+        "results.json": _json_text(results),
+        "results.csv": _csv_text(["repetition", "b"], enumerate(b_values)),
+    })
     print(f"B = {report.b_mean:.6f} +/- {report.i95:.6f} (I95, {report.repetitions} repetitions)")
     return 0
 
@@ -219,60 +198,26 @@ def _cmd_envariance(args) -> int:
 def _cmd_parity(args) -> int:
     if not (0.0 <= args.eta < 0.5):
         raise UsageError(f"--eta must lie in [0, 0.5), got {args.eta}")
-    if args.n < 1:
-        raise UsageError("parity experiments need at least one query qubit")
-    cmap = resolve_map(args.map)
-    path = path_for(cmap, args.n + 1)
-    oracle = OraclePattern(args.pattern)
-    circuit = build_parity(cmap, path, oracle)
-    qasm = _checked_qasm(cmap, circuit)
-    a_string = effective_a(path, oracle)
-
-    config = NoisySampleConfig(eta=args.eta, a_string=a_string)
     queries_list = parse_queries(args.queries, args.sweep, args.step)
-    outcomes = perr_curve(config, queries_list, args.reps, args.seed)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "circuit.qasm").write_text(qasm)
-    record = {
-        "experiment": "parity",
-        "map": cmap.name,
-        "n": args.n,
-        "pattern": args.pattern,
-        "effective_a": a_string,
-        "eta": args.eta,
-        "repetitions": args.reps,
-        "seed": args.seed,
-        "p_err": [{"queries": o.queries, "p_err": o.p_err} for o in outcomes],
-    }
+    cmap = resolve_map(args.map)
+    circuit, _, a_string, qasm = _compiled(cmap, "parity", args.n, args.pattern)
+    common = {"n": args.n, "pattern": args.pattern, "effective_a": a_string, "eta": args.eta,
+              "repetitions": args.reps, "seed": args.seed}
+    record = {"experiment": "parity", "map": cmap.name, **common}
     if args.cross_check:
-        if args.n > CROSSCHECK_MAX_N:
-            raise UsageError(f"--cross-check simulates the full circuit; use n <= {CROSSCHECK_MAX_N}")
-        tv = circuit_oracle_crosscheck(cmap, args.n, oracle, CROSSCHECK_SHOTS, args.seed)
-        record["cross_check_tv"] = tv
-        print(f"cross-check TV distance (circuit vs classical oracle): {tv:.5f}")
-    _write_json(out_dir / "results.json", record)
-    with open(out_dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["N", "p_err", "repetitions"])
-        for o in outcomes:
-            writer.writerow([o.queries, o.p_err, o.repetitions])
-    _write_manifest(
-        out_dir,
-        "parity",
-        cmap.name,
-        {
-            "n": args.n,
-            "pattern": args.pattern,
-            "effective_a": a_string,
-            "eta": args.eta,
-            "queries": queries_list,
-            "repetitions": args.reps,
-            "seed": args.seed,
-        },
-        ["circuit.qasm", "results.json", "results.csv"],
-    )
+        # Runs first: a circuit too wide to simulate fails before the learning curve.
+        record["cross_check_tv"] = circuit_oracle_crosscheck(circuit, a_string, CROSSCHECK_SHOTS, args.seed)
+    config = NoisySampleConfig(eta=args.eta, a_string=a_string)
+    outcomes = perr_curve(config, queries_list, args.reps, args.seed)
+    record["p_err"] = [{"queries": o.queries, "p_err": o.p_err} for o in outcomes]
+    _write_run(args.out, "parity", cmap.name, {**common, "queries": queries_list}, {
+        "circuit.qasm": qasm,
+        "results.json": _json_text(record),
+        "results.csv": _csv_text(["N", "p_err", "repetitions"],
+                                 ((o.queries, o.p_err, o.repetitions) for o in outcomes)),
+    })
+    if args.cross_check:
+        print(f"cross-check TV distance (circuit vs classical oracle): {record['cross_check_tv']:.5f}")
     print(f"effective a: {a_string}")
     for o in outcomes:
         print(f"N={o.queries}: p_err={o.p_err:.5f}")
@@ -319,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--reps", type=int, default=200)
     p_par.add_argument("--seed", type=int, default=0)
     p_par.add_argument("--cross-check", action="store_true",
-                       help=f"also sample the compiled circuit and report the TV distance (n <= {CROSSCHECK_MAX_N})")
+                       help="also sample the compiled circuit and report the TV distance "
+                            f"(n + 1 <= {MAX_SIMULATED_QUBITS} involved qubits)")
     p_par.add_argument("--out", required=True)
     p_par.set_defaults(func=_cmd_parity)
     return parser
@@ -330,10 +276,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MapFormatError, UnreachableQubitsError, IllegalCouplingError, ValueError) as exc:
+    except (UsageError, MapFormatError, UnreachableQubitsError, IllegalCouplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -78,7 +78,7 @@ def run_exact(circuit: Circuit, max_qubits: int = MAX_SIMULATED_QUBITS) -> State
     it on a copy relabelled onto the involved qubits.
     """
     if circuit.width > max_qubits:
-        raise ValueError(f"circuit width {circuit.width} exceeds the simulator maximum of {max_qubits}")
+        raise ValueError(f"simulating {circuit.width} qubits exceeds the simulator maximum of {max_qubits}")
     state = zero_state(circuit.width)
     for gate in circuit.gates:
         if gate.kind != MEASURE:

@@ -13,13 +13,14 @@ import numpy as np
 
 from conftest import random_connected_map, random_digraph
 from oracles import binomial_4sigma, closure_ranks, exact_perr
-from qghz.analysis import circuit_oracle_crosscheck, parity_learn
+from qghz.analysis import circuit_oracle_crosscheck, parity_learn, path_for
 from qghz.circuits import (
     CNOT,
     OraclePattern,
     build_envariance,
     build_ghz,
     build_parity,
+    effective_a,
     verify_legality,
 )
 from qghz.cli import main as cli_main
@@ -194,8 +195,10 @@ def test_criterion_09_circuit_oracle_crosscheck():
     worst = 0.0
     cmap = bundled_map("qx4")
     for n in (1, 2, 3, 4):
+        path = path_for(cmap, n + 1)
         for pattern in (OraclePattern.ALL_ONES, OraclePattern.HALF):
-            tv = circuit_oracle_crosscheck(cmap, n, pattern, shots=100_000, seed=90 + n)
+            circuit = build_parity(cmap, path, pattern)
+            tv = circuit_oracle_crosscheck(circuit, effective_a(path, pattern), shots=100_000, seed=90 + n)
             worst = max(worst, tv)
             if tv >= 0.02:
                 _report(9, "circuit/oracle cross-check", False, f"n={n} {pattern.value}: TV={tv:.4f}")

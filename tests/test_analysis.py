@@ -20,7 +20,7 @@ from qghz.analysis import (
     two_peak_distribution,
     validate_distribution,
 )
-from qghz.circuits import OraclePattern
+from qghz.circuits import OraclePattern, build_parity, effective_a
 from qghz.coupling import bundled_map
 from qghz.simulator import NoisySampleConfig
 
@@ -196,8 +196,11 @@ class TestValidateDistribution:
 
 
 def test_circuit_and_classical_oracle_agree():
+    cmap = bundled_map("qx4")
+    path = path_for(cmap, 4)
     for pattern in (OraclePattern.ALL_ONES, OraclePattern.HALF):
-        tv = circuit_oracle_crosscheck(bundled_map("qx4"), 3, pattern, shots=50_000, seed=21)
+        circuit = build_parity(cmap, path, pattern)
+        tv = circuit_oracle_crosscheck(circuit, effective_a(path, pattern), shots=50_000, seed=21)
         assert tv < 0.02
 
 

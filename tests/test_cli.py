@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qghz
 from oracles import reparse_qasm
 from qghz.cli import main, parse_queries
 
@@ -197,24 +199,27 @@ class TestParity:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_cross_check_small_n(self, tmp_path, capsys):
-        out = tmp_path / "parity"
-        code = run_cli(
-            "parity", "--map", "qx4", "-n", "2", "--pattern", "11",
-            "--queries", "4", "--reps", "20", "--seed", "2", "--out", str(out),
-            "--cross-check",
-        )
-        assert code == 0
-        results = read_json(out / "results.json")
-        assert results["cross_check_tv"] < 0.02
-        assert "cross-check TV" in capsys.readouterr().out
+        for map_name, n in (("qx4", "2"), ("qx5", "15")):
+            out = tmp_path / f"parity-{map_name}"
+            code = run_cli(
+                "parity", "--map", map_name, "-n", n, "--pattern", "11",
+                "--queries", "4", "--reps", "20", "--seed", "2", "--out", str(out),
+                "--cross-check",
+            )
+            assert code == 0
+            results = read_json(out / "results.json")
+            assert results["cross_check_tv"] < 0.02
+            assert "cross-check TV" in capsys.readouterr().out
 
-    def test_cross_check_rejects_large_n(self, tmp_path):
-        code = run_cli(
-            "parity", "--map", "qx5", "-n", "8", "--pattern", "11",
-            "--queries", "4", "--reps", "10", "--seed", "2",
-            "--out", str(tmp_path / "x"), "--cross-check",
-        )
-        assert code == 1
+    def test_cross_check_ranks_the_map_once(self, tmp_path, monkeypatch):
+        calls = []
+        rank_all = qghz.analysis.rank_all
+        monkeypatch.setattr(qghz.analysis, "rank_all", lambda cmap: calls.append(cmap.name) or rank_all(cmap))
+        assert run_cli(
+            "parity", "--map", "qx5", "-n", "4", "--pattern", "10", "--queries", "4",
+            "--reps", "10", "--cross-check", "--out", str(tmp_path / "parity"),
+        ) == 0
+        assert calls == ["qx5"]
 
 
 class TestParseQueries:
@@ -248,6 +253,32 @@ class TestParseQueries:
         err = capsys.readouterr().err
         assert err.startswith("error: --step") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", ["{over}", "1,{over}", "{over}:{over}", "1:{over}"])
+    def test_rejects_counts_above_limit(self, spec):
+        from qghz.cli import MAX_QUERIES, UsageError
+
+        with pytest.raises(UsageError, match=f"at most {MAX_QUERIES}"):
+            parse_queries(spec.format(over=MAX_QUERIES + 1), "linear", 1)
+
+    def test_accepts_counts_at_limit(self):
+        from qghz.cli import MAX_QUERIES
+
+        assert parse_queries(str(MAX_QUERIES), "geometric", 1) == [MAX_QUERIES]
+        assert parse_queries(f"{MAX_QUERIES // 2}:{MAX_QUERIES}", "geometric", 1) == [MAX_QUERIES // 2, MAX_QUERIES]
+
+    def test_count_above_limit_is_one_error_line(self, tmp_path, capsys):
+        from qghz.cli import MAX_QUERIES
+
+        out = tmp_path / "x"
+        code = run_cli(
+            "parity", "--map", "qx4", "-n", "2", "--pattern", "11", "--queries", f"1:{MAX_QUERIES + 1}",
+            "--sweep", "linear", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: query counts must be at most") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_rejects_bad_ranges(self):
         from qghz.cli import UsageError
 
@@ -267,9 +298,12 @@ def test_oversized_map_is_one_error_line(tmp_path):
 
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"num_qubits": MAX_MAP_QUBITS + 1, "edges": []}))
+    # The child imports the same qghz as this process, installed or not.
+    src = str(Path(qghz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "qghz.cli", "rank", "--map", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
@@ -299,3 +333,15 @@ class TestWideMap:
             "--reps", "10", "--cross-check", "--out", str(out),
         ) == 0
         assert read_json(out / "results.json")["cross_check_tv"] < 0.02
+
+    def test_too_wide_cross_check_writes_nothing(self, line25, tmp_path, capsys):
+        # 20 query qubits + the result qubit: 21 involved qubits, one over the simulator cap.
+        out = tmp_path / "parity"
+        code = run_cli(
+            "parity", "--map", line25, "-n", "20", "--pattern", "11", "--queries", "4",
+            "--cross-check", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: simulating 21 qubits exceeds the simulator maximum of 20\n"
+        assert not out.exists()
