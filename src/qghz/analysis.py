@@ -11,6 +11,12 @@ error probability is the failure fraction. Votes that tie (or votes over
 an empty postselection) resolve to 0 bits, which makes the noiseless law
 exact: with a != 0^n the only failure mode at eta = 0 is drawing zero
 result-1 samples, probability 2^-N.
+
+Every kept query is either 0^n or a, so two counts decide the vote: each
+bit where a is 1 gets the votes of the kept a queries, each bit where a is
+0 gets none. The vote equals a iff a = 0^n or the kept a queries are a
+strict majority of the kept queries; the learner reads both counts from
+the oracle's count table and never builds the strings.
 """
 
 from __future__ import annotations
@@ -144,12 +150,11 @@ def parity_learn(config: NoisySampleConfig, queries: int, repetitions: int, seed
     """Failure fraction of the postselect-and-vote learner over ``repetitions`` runs."""
     if queries < 1 or repetitions < 1:
         raise ValueError("queries and repetitions must be positive")
-    n = len(config.a_string)
+    learnable = "1" in config.a_string  # a = 0^n: the all-zero vote never misses
     failures = 0
     for child in spawn_seeds(seed, repetitions):
-        drawn = sample_noisy_oracle(config, queries, child)
-        kept = [query for query, result in drawn if result == 1]
-        if majority_vote(kept, n) != config.a_string:
+        counts = sample_noisy_oracle(config, queries, child)
+        if learnable and 2 * counts[1, 1] <= counts[0, 1] + counts[1, 1]:
             failures += 1
     return LearningOutcome(
         p_err=failures / repetitions,
@@ -168,16 +173,6 @@ def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) 
     return [parity_learn(config, q, repetitions, s) for q, s in zip(queries_list, seeds)]
 
 
-def oracle_sample_distribution(samples) -> Distribution:
-    """Empirical distribution of (query, result) samples keyed as 'bits:r'."""
-    counts: dict[str, int] = {}
-    for query, result in samples:
-        key = f"{query}:{result}"
-        counts[key] = counts.get(key, 0) + 1
-    total = sum(counts.values())
-    return {k: v / total for k, v in counts.items()}
-
-
 def circuit_oracle_crosscheck(circuit: Circuit, a_string: str, shots: int, seed) -> float:
     """Total-variation distance between circuit sampling and the classical oracle.
 
@@ -190,8 +185,13 @@ def circuit_oracle_crosscheck(circuit: Circuit, a_string: str, shots: int, seed)
     histogram = sample(circuit, shots, circuit_seed)
     circuit_dist = {f"{key[1:]}:{key[0]}": count / shots for key, count in histogram.items()}
 
-    config = NoisySampleConfig(eta=0.0, a_string=a_string)
-    oracle_dist = oracle_sample_distribution(sample_noisy_oracle(config, shots, oracle_seed))
+    counts = sample_noisy_oracle(NoisySampleConfig(eta=0.0, a_string=a_string), shots, oracle_seed)
+    zeros = "0" * len(a_string)
+    oracle_counts: dict[str, int] = {}
+    for (carries_a, result), count in np.ndenumerate(counts):
+        key = f"{a_string if carries_a else zeros}:{result}"  # a = 0^n: both rows share one key
+        oracle_counts[key] = oracle_counts.get(key, 0) + int(count)
+    oracle_dist = {key: count / shots for key, count in oracle_counts.items() if count}
 
     keys = circuit_dist.keys() | oracle_dist.keys()
     return 0.5 * sum(abs(circuit_dist.get(k, 0.0) - oracle_dist.get(k, 0.0)) for k in keys)

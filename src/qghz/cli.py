@@ -6,7 +6,10 @@ included) and output file names, which is enough to reproduce the run
 byte-for-byte. Each command computes every file's text before it creates
 the directory, so a run that fails on its input or in the simulator writes
 no files. The simulator cap counts involved qubits (at most 20), so
-``parity --cross-check`` needs n + 1 <= 20.
+``parity --cross-check`` needs n + 1 <= 20. ``--reps`` lies in [1,
+``MAX_REPS``] (one seed is spawned per repetition up front), ``--shots`` in
+[1, ``MAX_SHOTS``] (far inside numpy's 64-bit multinomial counts), and query
+counts in [1, ``MAX_QUERIES``]; all three are checked before any work.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -46,6 +49,8 @@ from .simulator import MAX_SIMULATED_QUBITS, NoisySampleConfig
 
 CROSSCHECK_SHOTS = 100_000
 MAX_QUERIES = 1 << 20
+MAX_REPS = 1 << 20
+MAX_SHOTS = 1 << 40
 
 
 class UsageError(ValueError):
@@ -77,6 +82,11 @@ def _write_run(out: str, command: str, map_name: str, parameters: dict, files: d
         (out_dir / name).write_text(text, newline="")
     manifest = {"command": command, "map_name": map_name, "parameters": parameters, "output_paths": list(files)}
     (out_dir / "manifest.json").write_text(_json_text(manifest), newline="")
+
+
+def _check_count(flag: str, value: int, limit: int) -> None:
+    if not 1 <= value <= limit:
+        raise UsageError(f"{flag} must lie in [1, {limit}], got {value}")
 
 
 def parse_queries(spec: str, sweep: str, step: int) -> list[int]:
@@ -167,6 +177,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_envariance(args) -> int:
+    _check_count("--reps", args.reps, MAX_REPS)
+    _check_count("--shots", args.shots, MAX_SHOTS)
     cmap = resolve_map(args.map)
     circuit, _, _, qasm = _compiled(cmap, "envariance", args.n, None)
     histograms = envariance_histograms(circuit, args.shots, args.reps, args.seed)
@@ -196,6 +208,7 @@ def _cmd_envariance(args) -> int:
 
 
 def _cmd_parity(args) -> int:
+    _check_count("--reps", args.reps, MAX_REPS)
     if not (0.0 <= args.eta < 0.5):
         raise UsageError(f"--eta must lie in [0, 0.5), got {args.eta}")
     queries_list = parse_queries(args.queries, args.sweep, args.step)

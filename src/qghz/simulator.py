@@ -156,27 +156,22 @@ class NoisySampleConfig:
             raise ValueError(f"a_string must be a nonempty string of 0/1, got {self.a_string!r}")
 
 
-def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> list[tuple[str, int]]:
-    """Draw (query_bits, result_bit) pairs from the noisy oracle mixture.
+def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> np.ndarray:
+    """Counts of ``queries`` draws from the noisy oracle mixture, as a 2x2 int table.
 
-    Each query independently yields, with probability 1 - eta, one of
-    (0^n, 0) or (a, 1) with equal odds; with probability eta one of
-    (0^n, 1) or (a, 0) with equal odds. So the result bit is uniform
-    regardless of eta, and among result-1 samples the query equals a with
-    probability 1 - eta.
+    ``counts[c, r]`` is how many draws had query a (c = 1) or 0^n (c = 0)
+    and result bit r. Each query independently yields, with probability
+    1 - eta, one of (0^n, 0) or (a, 1) with equal odds; with probability
+    eta one of (0^n, 1) or (a, 0) with equal odds. So the result bit is
+    uniform regardless of eta, and among result-1 draws the query equals a
+    with probability 1 - eta.
     """
     if queries <= 0:
         raise ValueError(f"queries must be positive, got {queries}")
     rng = np.random.Generator(np.random.PCG64(seed))
     noisy = rng.random(queries) < config.eta
     carries_a = rng.integers(0, 2, size=queries, dtype=np.int64)
-    zeros = "0" * len(config.a_string)
-    out = []
-    for flip, bit in zip(noisy, carries_a):
-        query = config.a_string if bit else zeros
-        result = int(bit) ^ int(flip)
-        out.append((query, result))
-    return out
+    return np.bincount(2 * carries_a + (carries_a ^ noisy), minlength=4).reshape(2, 2)
 
 
 def spawn_seeds(seed, count: int) -> list[np.random.SeedSequence]:

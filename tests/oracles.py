@@ -7,7 +7,9 @@ line-oriented reparse, the learner error rate from exact enumeration
 with rational arithmetic, and gate action from dense Kronecker-product
 unitaries. The element-wise loop kernels restate the package's kernel
 arithmetic one amplitude at a time, so the package can be held to them bit
-for bit.
+for bit. The parity oracle, its learner and the circuit cross-check are
+restated one Python sample at a time, so the package's count table can be
+held to them exactly.
 """
 
 from __future__ import annotations
@@ -264,6 +266,54 @@ def reference_sample(circuit, shots: int, seed, loops: bool = False) -> dict[str
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def reference_oracle_samples(eta: float, a_string: str, queries: int, seed) -> list[tuple[str, int]]:
+    """The noisy parity oracle's draws as one (query, result) tuple each.
+
+    Makes the package sampler's two draws in its order (noise flags, then
+    which queries carry a) and spells every sample out: query a or 0^n,
+    result = carries_a XOR noise flag.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    noisy = rng.random(queries) < eta
+    carries_a = rng.integers(0, 2, size=queries, dtype=np.int64)
+    zeros = "0" * len(a_string)
+    return [(a_string if bit else zeros, int(bit) ^ int(flip)) for flip, bit in zip(noisy, carries_a)]
+
+
+def reference_parity_perr(eta: float, a_string: str, queries: int, repetitions: int, seed) -> float:
+    """Failure fraction of the literal learner, one sample list per repetition.
+
+    Each repetition redraws the oracle's samples with its own spawned seed,
+    keeps the queries with result 1, takes their bitwise majority vote (ties
+    and no kept queries give 0 bits) and fails when the vote is not a.
+    """
+    from qghz.analysis import majority_vote
+
+    failures = 0
+    for child in np.random.SeedSequence(seed).spawn(repetitions):
+        kept = [q for q, r in reference_oracle_samples(eta, a_string, queries, child) if r == 1]
+        failures += majority_vote(kept, len(a_string)) != a_string
+    return failures / repetitions
+
+
+def reference_crosscheck_tv(circuit, a_string: str, shots: int, seed) -> float:
+    """Total-variation distance between a parity circuit's samples and the
+    eta = 0 oracle's samples, both keyed 'query:result' one sample at a time.
+
+    Seeds split as in the package: the first spawned child samples the
+    circuit, the second the oracle. The circuit's first measured qubit is
+    the result qubit.
+    """
+    circuit_seed, oracle_seed = np.random.SeedSequence(seed).spawn(2)
+    histogram = reference_sample(circuit, shots, circuit_seed)
+    circuit_dist = {f"{key[1:]}:{key[0]}": count / shots for key, count in histogram.items()}
+    oracle_counts: dict[str, int] = {}
+    for query, result in reference_oracle_samples(0.0, a_string, shots, oracle_seed):
+        key = f"{query}:{result}"
+        oracle_counts[key] = oracle_counts.get(key, 0) + 1
+    return total_variation(circuit_dist, {key: count / shots for key, count in oracle_counts.items()})
 
 
 # Directed edge lists of the two bundled device topologies, kept here as an

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_4sigma, exact_perr
+from oracles import binomial_4sigma, exact_perr, reference_crosscheck_tv, reference_parity_perr
 from qghz.analysis import (
     FidelityReport,
     bhattacharyya,
@@ -132,6 +132,16 @@ class TestParityLearn:
         config = NoisySampleConfig(eta=0.2, a_string="11")
         assert parity_learn(config, 5, 200, seed=8) == parity_learn(config, 5, 200, seed=8)
 
+    @pytest.mark.parametrize("a_string", ["1", "0", "000", "01", "1010", "0110", "1111111"])
+    def test_equals_literal_postselect_and_vote_learner(self, a_string):
+        # counts decide the vote exactly: same failures as voting over the spelled-out samples
+        for eta in (0.0, 0.1, 0.25, 0.4, 0.49):
+            config = NoisySampleConfig(eta=eta, a_string=a_string)
+            for queries in (1, 2, 3, 5, 17, 200):
+                for seed in (0, 1, 12):
+                    outcome = parity_learn(config, queries, repetitions=20, seed=seed)
+                    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, 20, seed)
+
     def test_rejects_bad_counts(self):
         config = NoisySampleConfig(eta=0.0, a_string="1")
         with pytest.raises(ValueError):
@@ -202,6 +212,18 @@ def test_circuit_and_classical_oracle_agree():
         circuit = build_parity(cmap, path, pattern)
         tv = circuit_oracle_crosscheck(circuit, effective_a(path, pattern), shots=50_000, seed=21)
         assert tv < 0.02
+
+
+@pytest.mark.parametrize("map_name", ["qx4", "qx5"])
+@pytest.mark.parametrize("pattern", ["00", "10", "11"])
+def test_crosscheck_equals_per_sample_reference(map_name, pattern):
+    # pattern 00 encodes a = 0^n, where both rows of the count table share one key
+    cmap = bundled_map(map_name)
+    path = path_for(cmap, 5)
+    oracle = OraclePattern(pattern)
+    circuit, a_string = build_parity(cmap, path, oracle), effective_a(path, oracle)
+    tv = circuit_oracle_crosscheck(circuit, a_string, shots=20_000, seed=3)
+    assert tv == reference_crosscheck_tv(circuit, a_string, 20_000, seed=3)
 
 
 def test_path_for_uses_highest_ranked_root():

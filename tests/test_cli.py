@@ -288,6 +288,44 @@ class TestParseQueries:
             parse_queries("0,3", "geometric", 1)
 
 
+class TestRunBounds:
+    """--reps and --shots are checked before the map is even loaded."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the run started work before checking its bounds")
+
+        monkeypatch.setattr("qghz.cli.resolve_map", fail)
+        monkeypatch.setattr("qghz.analysis.spawn_seeds", fail)
+
+    @pytest.mark.parametrize("command", [
+        ["envariance", "--map", "qx5", "-n", "3"],
+        ["parity", "--map", "qx5", "-n", "3", "--pattern", "11", "--queries", "4", "--cross-check"],
+    ])
+    @pytest.mark.parametrize("over", [False, True])
+    def test_reps_out_of_range_is_one_error_line(self, command, over, no_work, tmp_path, capsys):
+        from qghz.cli import MAX_REPS
+
+        reps = MAX_REPS + 1 if over else 0
+        out = tmp_path / "x"
+        assert run_cli(*command, "--reps", str(reps), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --reps must lie in [1, {MAX_REPS}], got {reps}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_shots_out_of_range_is_one_error_line(self, over, no_work, tmp_path, capsys):
+        from qghz.cli import MAX_SHOTS
+
+        shots = MAX_SHOTS + 1 if over else 0
+        out = tmp_path / "x"
+        assert run_cli("envariance", "--map", "qx5", "-n", "3", "--shots", str(shots), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --shots must lie in [1, {MAX_SHOTS}], got {shots}\n"
+        assert not out.exists()
+
+
 def test_usage_error_exits_one(capsys):
     assert run_cli("compile", "--map", "qx4") == 1  # missing required flags
     assert capsys.readouterr().err

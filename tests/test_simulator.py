@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import binomial_4sigma, loop_run_exact, reference_distribution, reference_sample
+from oracles import (
+    binomial_4sigma,
+    loop_run_exact,
+    reference_distribution,
+    reference_oracle_samples,
+    reference_sample,
+)
 from qghz import simulator
 from qghz.analysis import envariance_histograms
 from qghz.circuits import (
@@ -296,34 +302,52 @@ class TestNoisyOracle:
             NoisySampleConfig(eta=0.1, a_string="")
 
     def test_noiseless_result_one_reveals_a(self):
+        # counts[c, r]: c = 1 when the query is a, r the result bit
         config = NoisySampleConfig(eta=0.0, a_string="101")
-        for query, result in sample_noisy_oracle(config, 2000, seed=1):
-            assert query == ("101" if result == 1 else "000")
+        counts = sample_noisy_oracle(config, 2000, seed=1)
+        assert counts.sum() == 2000
+        assert counts[0, 1] == 0 and counts[1, 0] == 0
 
     def test_all_zero_string_pins_query(self):
         config = NoisySampleConfig(eta=0.0, a_string="000")
-        samples = sample_noisy_oracle(config, 500, seed=2)
-        assert all(query == "000" for query, _ in samples)
-        assert {result for _, result in samples} == {0, 1}
+        counts = sample_noisy_oracle(config, 500, seed=2)
+        assert counts.sum() == 500
+        queries = {config.a_string if c else "000" for c in (0, 1) if counts[c].any()}
+        assert queries == {"000"}
+        assert counts[:, 0].sum() > 0 and counts[:, 1].sum() > 0
 
     def test_result_marginal_is_half_regardless_of_eta(self):
         for eta in (0.0, 0.1, 0.25, 0.49):
             config = NoisySampleConfig(eta=eta, a_string="11")
-            samples = sample_noisy_oracle(config, 40_000, seed=7)
-            ones = sum(result for _, result in samples)
+            counts = sample_noisy_oracle(config, 40_000, seed=7)
+            assert counts.sum() == 40_000
+            ones = counts[:, 1].sum()
             assert abs(ones / 40_000 - 0.5) < binomial_4sigma(0.5, 40_000)
 
     def test_conditional_a_rate_is_one_minus_eta(self):
         eta = 0.25
         config = NoisySampleConfig(eta=eta, a_string="11")
-        samples = sample_noisy_oracle(config, 80_000, seed=13)
-        kept = [query for query, result in samples if result == 1]
-        rate = sum(q == "11" for q in kept) / len(kept)
-        assert abs(rate - (1 - eta)) < binomial_4sigma(1 - eta, len(kept))
+        counts = sample_noisy_oracle(config, 80_000, seed=13)
+        assert counts.sum() == 80_000
+        kept = counts[:, 1].sum()
+        rate = counts[1, 1] / kept
+        assert abs(rate - (1 - eta)) < binomial_4sigma(1 - eta, kept)
 
     def test_determinism(self):
         config = NoisySampleConfig(eta=0.3, a_string="10")
-        assert sample_noisy_oracle(config, 100, seed=5) == sample_noisy_oracle(config, 100, seed=5)
+        first = sample_noisy_oracle(config, 100, seed=5)
+        assert first.sum() == 100
+        assert np.array_equal(first, sample_noisy_oracle(config, 100, seed=5))
+
+    @pytest.mark.parametrize("a_string", ["1", "011", "1010"])
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_table_counts_reference_samples(self, a_string, eta):
+        counts = sample_noisy_oracle(NoisySampleConfig(eta=eta, a_string=a_string), 3000, seed=4)
+        assert counts.shape == (2, 2) and counts.sum() == 3000
+        expected = np.zeros((2, 2), dtype=np.int64)
+        for query, result in reference_oracle_samples(eta, a_string, 3000, seed=4):
+            expected[int(query == a_string), result] += 1
+        assert np.array_equal(counts, expected)
 
     def test_rejects_non_positive_queries(self):
         with pytest.raises(ValueError):
