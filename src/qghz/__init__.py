@@ -35,7 +35,6 @@ from .coupling import (
     CouplingMap,
     MapFormatError,
     bundled_map,
-    explore,
     line_map,
     load_map,
     load_map_file,

@@ -8,11 +8,21 @@ device maps ship as data files, ``qx4`` (5 qubits) and ``qx5`` (16 qubits);
 Each qubit x gets a rank: the number of other qubits that can reach x along
 directed edges. The top-ranked qubit is the natural root for spreading
 entanglement, since every CNOT chain must flow into it.
+
+``rank_all`` computes every rank in one pass. Each qubit holds a Python-int
+bitset of the qubits known to reach it, seeded with its own bit. A FIFO
+worklist, seeded with every qubit, ORs each popped qubit's set into its
+successors' sets and re-queues a successor only when its set grew. At the
+fixed point each set is the qubit's ancestors plus itself, so the rank is
+its popcount minus one: a qubit on a cycle never counts itself, and a qubit
+reached along several paths counts once. Memory is one bitset per qubit, at
+most num_qubits**2 / 8 bytes in all.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from importlib import resources
 from pathlib import Path
 
@@ -141,35 +151,23 @@ def line_map(num_qubits: int) -> CouplingMap:
     return CouplingMap(num_qubits, [(i, i + 1) for i in range(num_qubits - 1)], name=f"line{num_qubits}")
 
 
-def explore(cmap: CouplingMap, source: int, rank: np.ndarray) -> np.ndarray:
-    """Credit one rank point to every node reachable from ``source``.
-
-    Depth-first walk over directed edges with a per-invocation visited set,
-    so no node is credited twice for the same source. The source never
-    counts itself, even when a cycle leads back to it. Iterative stack
-    instead of recursion; same visit semantics, no depth limit.
-    """
-    if not (0 <= source < cmap.num_qubits):
-        raise IndexError(f"source {source} out of range [0, {cmap.num_qubits})")
-    visited = np.zeros(cmap.num_qubits, dtype=bool)
-    visited[source] = True
-    stack = [source]
-    while stack:
-        node = stack.pop()
-        for nxt in cmap.successors(node):
-            if not visited[nxt]:
-                visited[nxt] = True
-                rank[nxt] += 1
-                stack.append(nxt)
-    return rank
-
-
 def rank_all(cmap: CouplingMap) -> np.ndarray:
-    """Rank table for the whole map: one explore pass per source node."""
-    rank = np.zeros(cmap.num_qubits, dtype=np.int64)
-    for source in range(cmap.num_qubits):
-        explore(cmap, source, rank)
-    return rank
+    """Rank table for the whole map in one worklist pass (see the module docstring)."""
+    n = cmap.num_qubits
+    reach = [1 << x for x in range(n)]
+    queue = deque(range(n))
+    queued = [True] * n
+    while queue:
+        node = queue.popleft()
+        queued[node] = False
+        for nxt in cmap.successors(node):
+            grown = reach[nxt] | reach[node]
+            if grown != reach[nxt]:
+                reach[nxt] = grown
+                if not queued[nxt]:
+                    queued[nxt] = True
+                    queue.append(nxt)
+    return np.array([r.bit_count() - 1 for r in reach], dtype=np.int64)
 
 
 def most_connected(rank: np.ndarray) -> int:

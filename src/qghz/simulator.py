@@ -71,14 +71,14 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(state.num_qubits, amps)
 
 
-def run_exact(circuit: Circuit, max_qubits: int = MAX_SIMULATED_QUBITS) -> StateVector:
+def run_exact(circuit: Circuit) -> StateVector:
     """State after all non-measure gates, starting from |0...0>.
 
     Simulates every qubit of the circuit's width; the sampling functions call
     it on a copy relabelled onto the involved qubits.
     """
-    if circuit.width > max_qubits:
-        raise ValueError(f"simulating {circuit.width} qubits exceeds the simulator maximum of {max_qubits}")
+    if circuit.width > MAX_SIMULATED_QUBITS:
+        raise ValueError(f"simulating {circuit.width} qubits exceeds the simulator maximum of {MAX_SIMULATED_QUBITS}")
     state = zero_state(circuit.width)
     for gate in circuit.gates:
         if gate.kind != MEASURE:

@@ -11,7 +11,6 @@ from qghz.coupling import (
     CouplingMap,
     MapFormatError,
     bundled_map,
-    explore,
     line_map,
     load_map,
     most_connected,
@@ -99,48 +98,20 @@ class TestBundledMaps:
         assert cmap.neighbors(2) == (1, 3, 15)
 
 
-class TestExplore:
-    def test_chain_from_head(self):
-        rank = np.zeros(3, dtype=np.int64)
-        explore(CHAIN, 0, rank)
-        assert rank.tolist() == [0, 1, 1]
-
-    def test_isolated_source_changes_nothing(self):
-        cmap = CouplingMap(3, [(1, 2)])
-        rank = np.zeros(3, dtype=np.int64)
-        explore(cmap, 0, rank)
-        assert rank.tolist() == [0, 0, 0]
-
-    def test_cycle_does_not_self_count_source(self):
-        cmap = CouplingMap(2, [(0, 1), (1, 0)])
-        rank = np.zeros(2, dtype=np.int64)
-        explore(cmap, 0, rank)
-        assert rank.tolist() == [0, 1]
-
-    def test_each_node_credited_once_per_source(self):
-        # diamond: two paths from 0 to 3, still one credit for node 3
-        cmap = CouplingMap(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        rank = np.zeros(4, dtype=np.int64)
-        explore(cmap, 0, rank)
-        assert rank.tolist() == [0, 1, 1, 1]
-
-    def test_fresh_visited_set_per_invocation(self):
-        rank = np.zeros(3, dtype=np.int64)
-        explore(CHAIN, 0, rank)
-        explore(CHAIN, 0, rank)
-        assert rank.tolist() == [0, 2, 2]
-
-    def test_source_out_of_range(self):
-        with pytest.raises(IndexError):
-            explore(CHAIN, 5, np.zeros(3, dtype=np.int64))
-
-
 class TestRankAll:
     def test_chain(self):
         assert rank_all(CHAIN).tolist() == [0, 1, 2]
 
     def test_edgeless(self):
         assert rank_all(CouplingMap(3, [])).tolist() == [0, 0, 0]
+
+    def test_two_cycle_never_counts_itself(self):
+        assert rank_all(CouplingMap(2, [(0, 1), (1, 0)])).tolist() == [1, 1]
+
+    def test_diamond_counts_each_source_once(self):
+        # two paths from 0 to 3, still one count for 0 in rank[3]
+        cmap = CouplingMap(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        assert rank_all(cmap).tolist() == [0, 1, 1, 3]
 
     def test_complete_bidirectional(self):
         cmap = CouplingMap(3, [(a, b) for a in range(3) for b in range(3) if a != b])
@@ -190,3 +161,28 @@ def digraphs(draw):
 def test_rank_all_matches_transitive_closure(graph):
     n, edges = graph
     assert rank_all(CouplingMap(n, edges)).tolist() == closure_ranks(n, edges)
+
+
+ADVERSARIAL_QUBITS = 300
+
+
+def adversarial_edges(kind: str) -> list[tuple[int, int]]:
+    """Edges whose labels run against a FIFO pass over 0..n-1, forcing re-queues."""
+    n = ADVERSARIAL_QUBITS
+    rng = np.random.default_rng(20261018)
+    label = rng.permutation(n).tolist()
+    if kind == "reversed-line":
+        return [(i + 1, i) for i in range(n - 1)]
+    if kind == "shuffled-line":
+        return [(label[i], label[i + 1]) for i in range(n - 1)]
+    if kind == "shuffled-cycle":
+        return [(label[i], label[(i + 1) % n]) for i in range(n)]
+    return sorted({(int(c), int(t)) for c, t in rng.integers(0, n, size=(2 * n, 2)) if c != t})
+
+
+@pytest.mark.parametrize("kind", ["reversed-line", "shuffled-line", "shuffled-cycle", "random-digraph"])
+def test_rank_all_matches_closure_when_qubits_requeue(kind):
+    edges = adversarial_edges(kind)
+    ranks = rank_all(CouplingMap(ADVERSARIAL_QUBITS, edges))
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == closure_ranks(ADVERSARIAL_QUBITS, edges)
