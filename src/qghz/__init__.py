@@ -45,10 +45,7 @@ from .coupling import (
 from .paths import ConnectionPath, UnreachableQubitsError, create_path
 from .simulator import (
     NoisySampleConfig,
-    StateVector,
-    apply_gate,
     exact_distribution,
-    run_exact,
     sample,
     sample_noisy_oracle,
 )

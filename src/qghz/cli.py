@@ -5,8 +5,11 @@ result files; the manifest records the command, map, parameters (seed
 included) and output file names, which is enough to reproduce the run
 byte-for-byte. Each command computes every file's text before it creates
 the directory, so a run that fails on its input or in the simulator writes
-no files. The simulator cap counts involved qubits (at most 20), so
-``parity --cross-check`` needs n + 1 <= 20. ``--reps`` lies in [1,
+no files. The simulator caps the support dimension of the measured outcomes
+(at most 2^20 of them), not the qubit count; every circuit these commands
+build has a 2-outcome support, so ``parity --cross-check`` runs at any n.
+The argument parser is built on the first ``main`` call and reused by later
+calls in the same process. ``--reps`` lies in [1,
 ``MAX_REPS``] (one seed is spawned per repetition up front), ``--shots`` in
 [1, ``MAX_SHOTS``] (far inside numpy's 64-bit multinomial counts), and query
 counts in [1, ``MAX_QUERIES``]; all three are checked before any work.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -45,7 +49,7 @@ from .circuits import (
 )
 from .coupling import MapFormatError, most_connected, rank_all, resolve_map
 from .paths import UnreachableQubitsError
-from .simulator import MAX_SIMULATED_QUBITS, NoisySampleConfig
+from .simulator import NoisySampleConfig
 
 CROSSCHECK_SHOTS = 100_000
 MAX_QUERIES = 1 << 20
@@ -218,7 +222,7 @@ def _cmd_parity(args) -> int:
               "repetitions": args.reps, "seed": args.seed}
     record = {"experiment": "parity", "map": cmap.name, **common}
     if args.cross_check:
-        # Runs first: a circuit too wide to simulate fails before the learning curve.
+        # Runs first, so a simulator error ends the run before the learning curve.
         record["cross_check_tv"] = circuit_oracle_crosscheck(circuit, a_string, CROSSCHECK_SHOTS, args.seed)
     config = NoisySampleConfig(eta=args.eta, a_string=a_string)
     outcomes = perr_curve(config, queries_list, args.reps, args.seed)
@@ -278,16 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--seed", type=int, default=0)
     p_par.add_argument("--cross-check", action="store_true",
                        help="also sample the compiled circuit and report the TV distance "
-                            f"(n + 1 <= {MAX_SIMULATED_QUBITS} involved qubits)")
+                            "against the classical oracle")
     p_par.add_argument("--out", required=True)
     p_par.set_defaults(func=_cmd_parity)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, MapFormatError, UnreachableQubitsError, IllegalCouplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
-"""Hot state-vector kernels, in numpy on reshape views of the amplitude array.
+"""State-vector kernels, in numpy on reshape views of the amplitude array.
 
-Gate application and measurement marginalization touch every amplitude of a
-2^m array and dominate simulation runtime. Each gate kernel works in place
-on a contiguous complex128 array: reshaping it so that the gate's qubits get
+The package's simulator runs a stabilizer tableau and does not call these
+kernels. They drive the statevector oracle in ``tests/oracles.py`` that the
+tableau is tested against, and the benchmark imports this module. Each gate
+kernel works in place on a contiguous complex128 array: reshaping it so that the gate's qubits get
 their own length-2 axes turns a gate into slice arithmetic (``h``) or a
 slice swap (``x``, ``cnot``), with no index arrays. The arithmetic and its
 order are those of the element-wise loops in ``tests/oracles.py``, which the

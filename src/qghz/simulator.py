@@ -1,18 +1,20 @@
-"""Exact state-vector simulation, shot sampling, and the noisy parity oracle.
+"""Exact outcome distributions by stabilizer tableau, shot sampling, and the noisy parity oracle.
 
-States start at |0...0> and evolve under h/x/cnot through the numpy
-kernels of the kernels module. Measurement happens once at circuit end:
-``sample`` draws from the exact joint distribution of the measured qubits,
-marginalized over the rest.
-
-A circuit's distribution is computed once, on a copy relabelled onto its
-involved qubits (those any gate touches, plus the measured ones), so the
-20-qubit cap counts the qubits a circuit uses, not the size of its
-coupling map. The relabel keeps ascending physical order, which keeps every
-amplitude and every marginal sum bit-identical to a full-width run.
-Repetitions draw from that one distribution: a multinomial over its nonzero
-support, which gives the same counts as one over all 2^k outcomes, since
-numpy's binomial draws consume no random numbers for p = 0.
+Every circuit here is h/x/cnot applied to |0...0>, then measured once at
+circuit end. Such a circuit's measured outcomes are uniform over an affine
+subspace of GF(2)^k: each of its 2^r outcomes has probability exactly 2^-r
+(Dehaene and De Moor 2003; Aaronson and Gottesman 2004, "CHP").
+``outcome_distribution`` finds them with an Aaronson-Gottesman tableau in
+time polynomial in the qubit count, not by evolving 2^k amplitudes, and
+``sample`` draws shots from them. The tableau runs on a copy relabelled
+onto the circuit's involved qubits (those any gate touches, plus the
+measured ones), so map size costs nothing. The cap is on the support
+dimension r: at most ``MAX_SUPPORT_DIMENSION`` = 20, so at most 2^20
+outcomes are listed. Repetitions draw from that one distribution: a
+multinomial over its support, which gives the same counts as one over all
+2^k outcomes, since numpy's binomial draws consume no random numbers for
+p = 0. A statevector simulator is kept in ``tests/oracles.py`` as the
+independent reference the tests hold this engine to.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
@@ -25,65 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .circuits import CNOT, H, MEASURE, X, Circuit, Gate
 
-MAX_SIMULATED_QUBITS = 20
+# Largest support dimension r listed: 2^r outcomes, checked as each random
+# measurement is found, before any outcome is listed.
+MAX_SUPPORT_DIMENSION = 20
 
 Histogram = dict[str, int]
-
-
-@dataclass
-class StateVector:
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def norm_squared(self) -> float:
-        return float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2))
-
-
-def zero_state(num_qubits: int) -> StateVector:
-    """|0...0>: amplitude 1 at index 0."""
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
-    if gate.kind == H:
-        kernels.apply_h(amps, gate.operands[0])
-    elif gate.kind == X:
-        kernels.apply_x(amps, gate.operands[0])
-    elif gate.kind == CNOT:
-        kernels.apply_cnot(amps, gate.operands[0], gate.operands[1])
-    else:
-        raise ValueError(f"{gate.kind} is not a unitary gate")
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Return the state after one unitary gate; the input is untouched."""
-    qubits = gate.operands if gate.kind != MEASURE else gate.operands[:1]
-    for q in qubits:
-        if not (0 <= q < state.num_qubits):
-            raise IndexError(f"qubit {q} out of range [0, {state.num_qubits})")
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, gate)
-    return StateVector(state.num_qubits, amps)
-
-
-def run_exact(circuit: Circuit) -> StateVector:
-    """State after all non-measure gates, starting from |0...0>.
-
-    Simulates every qubit of the circuit's width; the sampling functions call
-    it on a copy relabelled onto the involved qubits.
-    """
-    if circuit.width > MAX_SIMULATED_QUBITS:
-        raise ValueError(f"simulating {circuit.width} qubits exceeds the simulator maximum of {MAX_SIMULATED_QUBITS}")
-    state = zero_state(circuit.width)
-    for gate in circuit.gates:
-        if gate.kind != MEASURE:
-            _apply_inplace(state.amplitudes, gate)
-    return state
 
 
 def _relabel_onto_involved(circuit: Circuit) -> Circuit:
@@ -100,22 +50,110 @@ def _relabel_onto_involved(circuit: Circuit) -> Circuit:
     return Circuit(len(index), gates, tuple(index[q] for q in circuit.measured_qubits))
 
 
+def _product(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
+    """Row of the Pauli product P1 * P2 of two commuting tableau rows.
+
+    The phase picks up a sign when the per-qubit factors of i multiply to
+    -1: each qubit adds +1 for YZ, XY and ZX, and -1 for YX, XZ and ZY.
+    """
+    y1, xo1, zo1 = x1 & z1, x1 & ~z1, z1 & ~x1
+    y2, xo2, zo2 = x2 & z2, x2 & ~z2, z2 & ~x2
+    plus = (y1 & zo2 | xo1 & y2 | zo1 & xo2).bit_count()
+    minus = (y1 & xo2 | xo1 & zo2 | zo1 & y2).bit_count()
+    return x1 ^ x2, z1 ^ z2, r1 ^ r2 ^ ((plus - minus) >> 1 & 1)
+
+
+def _outcome_forms(circuit: Circuit) -> tuple[list[int], int]:
+    """Each measured qubit's outcome as an affine form over the random outcomes, and their number r.
+
+    An Aaronson-Gottesman tableau over ``circuit.width`` qubits: rows
+    0..m-1 are destabilizers, rows m..2m-1 stabilizers, and row i holds an
+    x and a z bit row (bit q is qubit q) and a phase. A phase is a GF(2)
+    affine form rather than a bit: bit 0 is its constant and bit j the
+    coefficient of the j-th random outcome. Measuring the qubits in
+    classical-bit order then covers every branch of the measurement tree
+    in one pass: the j-th random measurement reads form ``1 << j`` and
+    every later outcome is an affine function of the earlier ones.
+    """
+    m = circuit.width
+    xs = [1 << q for q in range(m)] + [0] * m
+    zs = [0] * m + [1 << q for q in range(m)]
+    rs = [0] * (2 * m)
+    rows = range(2 * m)
+    for gate in circuit.gates:
+        if gate.kind == H:
+            bit = 1 << gate.operands[0]
+            for i in rows:
+                x, z = xs[i], zs[i]
+                if x & z & bit:
+                    rs[i] ^= 1
+                elif (x | z) & bit:
+                    xs[i], zs[i] = x ^ bit, z ^ bit
+        elif gate.kind == X:
+            bit = 1 << gate.operands[0]
+            for i in rows:
+                if zs[i] & bit:
+                    rs[i] ^= 1
+        elif gate.kind == CNOT:
+            control, target = gate.operands
+            cbit, tbit = 1 << control, 1 << target
+            for i in rows:
+                x, z = xs[i], zs[i]
+                if x & cbit:
+                    if z & tbit and not (x >> target ^ z >> control) & 1:
+                        rs[i] ^= 1
+                    xs[i] = x ^ tbit
+                if z & tbit:
+                    zs[i] = z ^ cbit
+    forms: list[int] = []
+    r = 0
+    for qubit in circuit.measured_qubits:
+        bit = 1 << qubit
+        p = next((i for i in range(m, 2 * m) if xs[i] & bit), None)
+        if p is None:  # deterministic: Z_qubit is the product of the stabilizers its destabilizers flag
+            row = (0, 0, 0)
+            for i in range(m):
+                if xs[i] & bit:
+                    row = _product(xs[i + m], zs[i + m], rs[i + m], *row)
+            forms.append(row[2])
+            continue
+        if r == MAX_SUPPORT_DIMENSION:
+            raise ValueError(f"measured outcomes span more than 2^{r} values: support dimension "
+                             f"exceeds MAX_SUPPORT_DIMENSION = {MAX_SUPPORT_DIMENSION}")
+        for i in rows:
+            if i != p and xs[i] & bit:
+                xs[i], zs[i], rs[i] = _product(xs[p], zs[p], rs[p], xs[i], zs[i], rs[i])
+        r += 1
+        xs[p - m], zs[p - m], rs[p - m] = xs[p], zs[p], rs[p]
+        xs[p], zs[p], rs[p] = 0, bit, 1 << r
+        forms.append(1 << r)
+    return forms, r
+
+
 def outcome_distribution(circuit: Circuit) -> tuple[list[str], np.ndarray]:
     """(keys, probabilities) of the measured outcomes with nonzero probability.
 
     Keys are bitstrings in classical-bit order (first measured qubit
-    leftmost), ascending; probabilities are normalised over all 2^k outcomes
-    before the zero ones are dropped.
+    leftmost), ascending; each of the 2^r keys has probability exactly
+    0.5 ** r. Raises ValueError when r exceeds ``MAX_SUPPORT_DIMENSION``.
     """
     if not circuit.measured_qubits:
         raise ValueError("circuit declares no measured qubits")
-    compact = _relabel_onto_involved(circuit)
-    state = run_exact(compact)
-    probs = kernels.marginal_probs(state.amplitudes, compact.measured_qubits)
-    probs = probs / probs.sum()
-    support = np.flatnonzero(probs)
-    k = len(compact.measured_qubits)
-    return [format(int(i), f"0{k}b") for i in support], probs[support]
+    forms, r = _outcome_forms(_relabel_onto_involved(circuit))
+    k = len(forms)
+    # columns[0] is the key with every random outcome 0; columns[j] the key bits random outcome j flips.
+    columns = [0] * (r + 1)
+    for position, form in enumerate(forms):
+        weight = 1 << (k - 1 - position)
+        for j in range(r + 1):
+            if form >> j & 1:
+                columns[j] |= weight
+    # The j-th random outcome first shows at a key bit above every bit that
+    # later outcomes flip, so branching 0 before 1 lists keys ascending.
+    keys = [columns[0]]
+    for column in columns[1:]:
+        keys = [key ^ flip for key in keys for flip in (0, column)]
+    return [format(key, f"0{k}b") for key in keys], np.full(len(keys), 0.5 ** r)
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:

@@ -4,10 +4,10 @@ Everything here is deliberately written against the underlying math, not
 against the package code paths it checks: reachability ranks come from a
 boolean-matrix closure, tree checks from union-find, QASM checks from a
 line-oriented reparse, the learner error rate from exact enumeration
-with rational arithmetic, and gate action from dense Kronecker-product
-unitaries. The element-wise loop kernels restate the package's kernel
-arithmetic one amplitude at a time, so the package can be held to them bit
-for bit. The parity oracle, its learner and the circuit cross-check are
+with rational arithmetic, gate action from dense Kronecker-product
+unitaries, and outcome distributions from a statevector simulator. The
+element-wise loop kernels restate the numpy kernels' arithmetic one
+amplitude at a time, so the kernels can be held to them bit for bit. The parity oracle, its learner and the circuit cross-check are
 restated one Python sample at a time, so the package's count table can be
 held to them exactly.
 """
@@ -15,10 +15,14 @@ held to them exactly.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+from qghz import kernels
+from qghz.circuits import CNOT, H, MEASURE, X
 
 
 def closure_ranks(num_qubits: int, edges) -> list[int]:
@@ -230,14 +234,67 @@ def marginal_bruteforce(amps, qubits) -> np.ndarray:
     return out
 
 
+# The statevector simulator: 2^n amplitudes evolved by the numpy kernels.
+# The package computes outcome distributions with a stabilizer tableau; this
+# is the independent algorithm the tests hold it to.
+MAX_STATEVECTOR_QUBITS = 20
+
+
+@dataclass
+class StateVector:
+    num_qubits: int
+    amplitudes: np.ndarray
+
+    def norm_squared(self) -> float:
+        return float(np.sum(self.amplitudes.real**2 + self.amplitudes.imag**2))
+
+
+def zero_state(num_qubits: int) -> StateVector:
+    """|0...0>: amplitude 1 at index 0."""
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def _apply_inplace(amps: np.ndarray, gate) -> None:
+    if gate.kind == H:
+        kernels.apply_h(amps, gate.operands[0])
+    elif gate.kind == X:
+        kernels.apply_x(amps, gate.operands[0])
+    elif gate.kind == CNOT:
+        kernels.apply_cnot(amps, gate.operands[0], gate.operands[1])
+    else:
+        raise ValueError(f"{gate.kind} is not a unitary gate")
+
+
+def apply_gate(state: StateVector, gate) -> StateVector:
+    """Return the state after one unitary gate; the input is untouched."""
+    qubits = gate.operands if gate.kind != MEASURE else gate.operands[:1]
+    for q in qubits:
+        if not (0 <= q < state.num_qubits):
+            raise IndexError(f"qubit {q} out of range [0, {state.num_qubits})")
+    amps = state.amplitudes.copy()
+    _apply_inplace(amps, gate)
+    return StateVector(state.num_qubits, amps)
+
+
+def run_exact(circuit) -> StateVector:
+    """State after all non-measure gates, starting from |0...0>, over the circuit's full width."""
+    if circuit.width > MAX_STATEVECTOR_QUBITS:
+        raise ValueError(f"simulating {circuit.width} qubits exceeds the statevector maximum of "
+                         f"{MAX_STATEVECTOR_QUBITS}")
+    state = zero_state(circuit.width)
+    for gate in circuit.gates:
+        if gate.kind != MEASURE:
+            _apply_inplace(state.amplitudes, gate)
+    return state
+
+
 def _reference_marginal(circuit, loops: bool) -> np.ndarray:
     """Normalised marginal over all 2^k outcomes of a full-width simulation."""
     if loops:
         probs = marginal_loop(loop_run_exact(circuit), circuit.measured_qubits)
     else:
-        from qghz import kernels
-        from qghz.simulator import run_exact
-
         probs = kernels.marginal_probs(run_exact(circuit).amplitudes, circuit.measured_qubits)
     return probs / probs.sum()
 
@@ -252,11 +309,11 @@ def reference_sample(circuit, shots: int, seed, loops: bool = False) -> dict[str
     """Histogram by the plain algorithm: simulate every qubit of the circuit's
     width, marginalise, and draw one multinomial over all 2^k outcomes.
 
-    By default it reuses the package's kernels, which is fast enough for
-    16-qubit maps, so that the sampler that simulates only the involved
-    qubits and draws over the nonzero support can be held to bit-for-bit
-    equality with it. ``loops=True`` simulates with the loop kernels above
-    instead, for small circuits.
+    By default it runs the statevector simulator above, which is fast
+    enough for 16-qubit maps, so that the package's sampler, which runs a
+    tableau on the involved qubits and draws over the nonzero support, can
+    be held to bit-for-bit equality with it. ``loops=True`` simulates with
+    the loop kernels above instead, for small circuits.
     """
     counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, _reference_marginal(circuit, loops))
     k = len(circuit.measured_qubits)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from conftest import random_connected_map, random_digraph
-from oracles import binomial_4sigma, closure_ranks, exact_perr
+from oracles import binomial_4sigma, closure_ranks, exact_perr, run_exact
 from qghz.analysis import circuit_oracle_crosscheck, parity_learn, path_for
 from qghz.circuits import (
     CNOT,
@@ -26,7 +26,7 @@ from qghz.circuits import (
 from qghz.cli import main as cli_main
 from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
 from qghz.paths import create_path
-from qghz.simulator import NoisySampleConfig, run_exact
+from qghz.simulator import NoisySampleConfig
 
 INV_SQRT2 = 2 ** -0.5
 

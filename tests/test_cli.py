@@ -331,6 +331,24 @@ def test_usage_error_exits_one(capsys):
     assert capsys.readouterr().err
 
 
+class TestSharedParser:
+    """main reuses one parser; no call may leave state behind for the next."""
+
+    def test_good_call_after_usage_error(self, tmp_path, capsys):
+        assert run_cli("envariance", "--map", "qx4", "--bogus") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        out = tmp_path / "env"
+        assert run_cli("envariance", "--map", "qx4", "-n", "2", "--reps", "2", "--out", str(out)) == 0
+        assert read_json(out / "results.json")["repetitions"] == 2
+
+    def test_cross_check_flag_does_not_carry_over(self, tmp_path):
+        args = ["parity", "--map", "qx4", "-n", "2", "--pattern", "11", "--queries", "4", "--reps", "5"]
+        assert run_cli(*args, "--cross-check", "--out", str(tmp_path / "a")) == 0
+        assert "cross_check_tv" in read_json(tmp_path / "a" / "results.json")
+        assert run_cli(*args, "--out", str(tmp_path / "b")) == 0
+        assert "cross_check_tv" not in read_json(tmp_path / "b" / "results.json")
+
+
 def test_oversized_map_is_one_error_line(tmp_path):
     from qghz.coupling import MAX_MAP_QUBITS
 
@@ -372,14 +390,21 @@ class TestWideMap:
         ) == 0
         assert read_json(out / "results.json")["cross_check_tv"] < 0.02
 
-    def test_too_wide_cross_check_writes_nothing(self, line25, tmp_path, capsys):
-        # 20 query qubits + the result qubit: 21 involved qubits, one over the simulator cap.
+    def test_cross_check_at_twenty_query_qubits(self, line25, tmp_path):
+        # 21 involved qubits; the simulator caps the support dimension (here 1), not the width.
         out = tmp_path / "parity"
-        code = run_cli(
+        assert run_cli(
             "parity", "--map", line25, "-n", "20", "--pattern", "11", "--queries", "4",
             "--cross-check", "--out", str(out),
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: simulating 21 qubits exceeds the simulator maximum of 20\n"
-        assert not out.exists()
+        ) == 0
+        assert read_json(out / "results.json")["cross_check_tv"] < 0.02
+
+    def test_envariance_on_300_qubit_line(self, tmp_path):
+        path = tmp_path / "line300.json"
+        path.write_text(json.dumps({"num_qubits": 300, "edges": [[i, i + 1] for i in range(299)]}))
+        out = tmp_path / "env"
+        assert run_cli("envariance", "--map", str(path), "-n", "300", "--shots", "1000", "--reps", "2",
+                       "--out", str(out)) == 0
+        histograms = read_json(out / "results.json")["histograms"]
+        assert len(histograms) == 2
+        assert all(set(h) <= {"0" * 300, "1" * 300} for h in histograms)

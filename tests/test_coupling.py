@@ -186,3 +186,10 @@ def test_rank_all_matches_closure_when_qubits_requeue(kind):
     ranks = rank_all(CouplingMap(ADVERSARIAL_QUBITS, edges))
     assert ranks.dtype == np.int64
     assert ranks.tolist() == closure_ranks(ADVERSARIAL_QUBITS, edges)
+
+
+def test_rank_all_reversed_line_in_one_sweep():
+    # Labels run against every edge; a label-order worklist needs n rounds here.
+    n = 20_000
+    ranks = rank_all(CouplingMap(n, [(i + 1, i) for i in range(n - 1)]))
+    assert ranks.tolist() == [n - 1 - i for i in range(n)]

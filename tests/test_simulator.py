@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    apply_gate,
     binomial_4sigma,
     loop_run_exact,
     reference_distribution,
     reference_oracle_samples,
     reference_sample,
+    run_exact,
+    zero_state,
 )
 from qghz import simulator
-from qghz.analysis import envariance_histograms
+from qghz.analysis import envariance_histograms, path_for
 from qghz.circuits import (
     MEASURE,
     Circuit,
@@ -29,14 +34,13 @@ from qghz.circuits import (
 from qghz.coupling import CouplingMap, bundled_map, line_map
 from qghz.paths import create_path
 from qghz.simulator import (
+    MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
-    apply_gate,
     exact_distribution,
-    run_exact,
+    outcome_distribution,
     sample,
     sample_noisy_oracle,
     spawn_seeds,
-    zero_state,
 )
 
 INV_SQRT2 = 2 ** -0.5
@@ -261,13 +265,13 @@ class TestSamplingMatchesFullWidthReference:
 
     def test_simulates_involved_qubits_only(self, monkeypatch):
         simulated = []
-        run_exact_full = simulator.run_exact
+        outcome_forms = simulator._outcome_forms
 
-        def recording(circuit, *args):
+        def recording(circuit):
             simulated.append(circuit)
-            return run_exact_full(circuit, *args)
+            return outcome_forms(circuit)
 
-        monkeypatch.setattr(simulator, "run_exact", recording)
+        monkeypatch.setattr(simulator, "_outcome_forms", recording)
         cmap = line_map(25)
         circuit = build_envariance(cmap, create_path(cmap, 24, 3))
         assert set(sample(circuit, 1000, seed=1)) <= {"000", "111"}
@@ -285,9 +289,54 @@ class TestSamplingMatchesFullWidthReference:
         assert restored == circuit.gates
 
     def test_involved_width_is_capped(self):
-        cmap = line_map(25)
-        with pytest.raises(ValueError, match="exceeds"):
-            sample(build_envariance(cmap, create_path(cmap, 24, 21)), 10, seed=0)
+        # Each H qubit adds one random outcome: 21 of them would list 2^21 keys.
+        width = MAX_SUPPORT_DIMENSION + 1
+        circuit = with_measurements(Circuit(width, tuple(h(q) for q in range(width))), range(width))
+        with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION"):
+            sample(circuit, 10, seed=0)
+
+
+@st.composite
+def clifford_circuits(draw) -> Circuit:
+    """h/x/cx circuit on up to 8 qubits measuring a random ordered subset."""
+    width = draw(st.integers(1, 8))
+    qubit = st.integers(0, width - 1)
+    gate = st.builds(lambda kind, q: kind(q), st.sampled_from([h, x]), qubit)
+    if width > 1:
+        gate = gate | st.lists(qubit, min_size=2, max_size=2, unique=True).map(lambda pair: cnot(*pair))
+    # A drawn length: hypothesis's own list sizes average about 5 gates, too
+    # few to build the Y terms whose signs the tableau must track.
+    length = draw(st.integers(0, 60))
+    gates = draw(st.lists(gate, min_size=length, max_size=length))
+    measured = draw(st.permutations(range(width)))[: draw(st.integers(1, width))]
+    return with_measurements(Circuit(width, tuple(gates)), measured)
+
+
+class TestTableauMatchesStatevector:
+    """The tableau's outcome distribution against the statevector oracle."""
+
+    @given(clifford_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_random_circuits(self, circuit):
+        keys, probs = outcome_distribution(circuit)
+        reference = reference_distribution(circuit)
+        assert keys == list(reference)
+        r = len(keys).bit_length() - 1
+        assert len(keys) == 1 << r
+        assert np.all(probs == 0.5**r)
+        np.testing.assert_allclose(list(reference.values()), probs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("map_name", ["qx4", "qx5"])
+    def test_every_protocol_circuit(self, map_name):
+        cmap = bundled_map(map_name)
+        circuits = [build_envariance(cmap, path_for(cmap, n)) for n in range(2, cmap.num_qubits + 1)]
+        circuits += [build_parity(cmap, path_for(cmap, n + 1), pattern)
+                     for n in range(1, cmap.num_qubits) for pattern in OraclePattern]
+        for circuit in circuits:
+            keys, probs = outcome_distribution(circuit)
+            reference = reference_distribution(circuit)
+            assert keys == list(reference)
+            assert probs.tolist() == list(reference.values())
 
 
 class TestNoisyOracle:
