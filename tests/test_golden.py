@@ -2,8 +2,10 @@
 
 Each case reruns one command and compares every file it writes with the copy
 committed under ``tests/golden/<case>/``. The cases are the three
-criterion-11 commands, the full-width envariance run on qx5 and a parity run
-with the circuit cross-check. Regenerate the copies only when outputs are
+criterion-11 commands, the full-width envariance run on qx5, a parity run
+with the circuit cross-check, and two compiles that dump their path and gate
+list: a one-qubit GHZ (no path pairs) and an envariance circuit on qx4 with
+inverse-CNOT sandwiches. Regenerate the copies only when outputs are
 meant to change, and record why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -38,6 +40,12 @@ CASES = {
     "parity-qx5-n4-cross-check": [
         "parity", "--map", "qx5", "-n", "4", "--pattern", "10", "--eta", "0.1",
         "--queries", "1:64", "--reps", "50", "--seed", "3", "--cross-check",
+    ],
+    "compile-ghz-qx5-n1": [
+        "compile", "--map", "qx5", "--experiment", "ghz", "-n", "1", "--dump-path", "--dump-circuit",
+    ],
+    "compile-envariance-qx4-n5": [
+        "compile", "--map", "qx4", "--experiment", "envariance", "-n", "5", "--dump-path", "--dump-circuit",
     ],
 }
 
