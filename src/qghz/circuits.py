@@ -36,6 +36,7 @@ CNOT = "cnot"
 MEASURE = "measure"
 
 _ARITY = {H: 1, X: 1, CNOT: 2, MEASURE: 2}
+_QASM = {H: "h q[%d];", X: "x q[%d];", CNOT: "cx q[%d],q[%d];", MEASURE: "measure q[%d] -> c[%d];"}
 
 
 class IllegalCouplingError(ValueError):
@@ -125,7 +126,9 @@ def cnot_legal(cmap: CouplingMap, control: int, target: int) -> list[Gate]:
     if cmap.has_edge(control, target):
         return [cnot(control, target)]
     if cmap.has_edge(target, control):
-        return [h(control), h(target), cnot(target, control), h(target), h(control)]
+        # Gates are frozen values, so each Hadamard object appears twice.
+        h_control, h_target = h(control), h(target)
+        return [h_control, h_target, cnot(target, control), h_target, h_control]
     raise IllegalCouplingError(f"no coupling between qubits {control} and {target} in either direction")
 
 
@@ -142,11 +145,16 @@ def build_ghz(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
     return Circuit(width=cmap.num_qubits, gates=tuple(ghz_gates(cmap, path)))
 
 
+def _measured(width: int, gates: list[Gate], qubits) -> Circuit:
+    """Circuit of ``gates`` plus terminal measurements mapping the i-th listed qubit to bit i."""
+    qubits = tuple(qubits)
+    gates.extend(measure(q, i) for i, q in enumerate(qubits))
+    return Circuit(width=width, gates=tuple(gates), measured_qubits=qubits)
+
+
 def with_measurements(circuit: Circuit, qubits) -> Circuit:
     """Append terminal measurements mapping the i-th listed qubit to bit i."""
-    qubits = tuple(qubits)
-    gates = circuit.gates + tuple(measure(q, i) for i, q in enumerate(qubits))
-    return Circuit(width=circuit.width, gates=gates, measured_qubits=qubits)
+    return _measured(circuit.width, list(circuit.gates), qubits)
 
 
 def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
@@ -162,8 +170,7 @@ def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
     gates = ghz_gates(cmap, path)
     gates.extend(x(q) for q in involved[:split])
     gates.extend(x(q) for q in involved[split:])
-    base = Circuit(width=cmap.num_qubits, gates=tuple(gates))
-    return with_measurements(base, involved)
+    return _measured(cmap.num_qubits, gates, involved)
 
 
 def _selected_pairs(path: ConnectionPath, pattern: OraclePattern) -> tuple[tuple[int, int], ...]:
@@ -206,8 +213,7 @@ def build_parity(cmap: CouplingMap, path: ConnectionPath, pattern: OraclePattern
     for new, anchor in _selected_pairs(path, pattern):
         gates.extend(cnot_legal(cmap, new, anchor))
     gates.extend(h(q) for q in involved)
-    base = Circuit(width=cmap.num_qubits, gates=tuple(gates))
-    return with_measurements(base, involved)
+    return _measured(cmap.num_qubits, gates, involved)
 
 
 def verify_legality(cmap: CouplingMap, circuit: Circuit) -> list[str]:
@@ -229,15 +235,7 @@ def emit_qasm(circuit: Circuit) -> str:
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
     if circuit.measured_qubits:
         lines.append(f"creg c[{len(circuit.measured_qubits)}];")
-    for gate in circuit.gates:
-        if gate.kind == H:
-            lines.append(f"h q[{gate.operands[0]}];")
-        elif gate.kind == X:
-            lines.append(f"x q[{gate.operands[0]}];")
-        elif gate.kind == CNOT:
-            lines.append(f"cx q[{gate.operands[0]}],q[{gate.operands[1]}];")
-        else:
-            lines.append(f"measure q[{gate.operands[0]}] -> c[{gate.operands[1]}];")
+    lines += [_QASM[gate.kind] % gate.operands for gate in circuit.gates]
     return "\n".join(lines) + "\n"
 
 

@@ -70,6 +70,13 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _path_json(path) -> str:
+    """``_json_text({"root": ..., "pairs": ...})`` of a connection path, rendered in one join."""
+    pairs = ",\n".join(f"    [\n      {new},\n      {anchor}\n    ]" for new, anchor in path.pairs)
+    pairs = f"[\n{pairs}\n  ]" if pairs else "[]"
+    return f'{{\n  "pairs": {pairs},\n  "root": {path.root}\n}}\n'
+
+
 def _csv_text(header: list[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -166,7 +173,7 @@ def _cmd_compile(args) -> int:
     circuit, path, a_string, qasm = _compiled(cmap, args.experiment, args.n, args.pattern)
     files = {"circuit.qasm": qasm}
     if args.dump_path:
-        files["path.json"] = _json_text({"root": path.root, "pairs": [list(p) for p in path.pairs]})
+        files["path.json"] = _path_json(path)
     if args.dump_circuit:
         files["circuit.json"] = _json_text(circuit_to_json_dict(circuit))
     parameters = {"experiment": args.experiment, "n": args.n}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CNOT, H, MEASURE, X, Circuit, Gate
+from .circuits import CNOT, H, MEASURE, X, Circuit
 
 # Largest support dimension r listed: 2^r outcomes, checked as each random
 # measurement is found, before any outcome is listed.
@@ -36,18 +36,23 @@ MAX_SUPPORT_DIMENSION = 20
 Histogram = dict[str, int]
 
 
-def _relabel_onto_involved(circuit: Circuit) -> Circuit:
-    """Copy of the circuit over its involved qubits, relabelled 0..m-1 in ascending order."""
+def _relabel_onto_involved(circuit: Circuit) -> tuple[int, list, tuple[int, ...]]:
+    """(width, gates, measured qubits) over the involved qubits, relabelled 0..m-1 in ascending order.
+
+    Gates become plain (kind, operands) tuples; a measurement keeps its
+    classical bit. The circuit was validated when built, so nothing is
+    checked again.
+    """
     involved = set(circuit.measured_qubits)
     for gate in circuit.gates:
         involved.update(gate.operands[:1] if gate.kind == MEASURE else gate.operands)
     index = {q: i for i, q in enumerate(sorted(involved))}
-    gates = tuple(
-        Gate(MEASURE, (index[g.operands[0]], g.operands[1])) if g.kind == MEASURE
-        else Gate(g.kind, tuple(index[q] for q in g.operands))
+    gates = [
+        (MEASURE, (index[g.operands[0]], g.operands[1])) if g.kind == MEASURE
+        else (g.kind, tuple([index[q] for q in g.operands]))
         for g in circuit.gates
-    )
-    return Circuit(len(index), gates, tuple(index[q] for q in circuit.measured_qubits))
+    ]
+    return len(index), gates, tuple([index[q] for q in circuit.measured_qubits])
 
 
 def _product(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
@@ -63,11 +68,13 @@ def _product(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int,
     return x1 ^ x2, z1 ^ z2, r1 ^ r2 ^ ((plus - minus) >> 1 & 1)
 
 
-def _outcome_forms(circuit: Circuit) -> tuple[list[int], int]:
+def _outcome_forms(width: int, gates, measured: tuple[int, ...]) -> tuple[list[int], int]:
     """Each measured qubit's outcome as an affine form over the random outcomes, and their number r.
 
-    An Aaronson-Gottesman tableau over ``circuit.width`` qubits: rows
-    0..m-1 are destabilizers, rows m..2m-1 stabilizers, and row i holds an
+    ``gates`` are (kind, operands) pairs over qubits 0..width-1, and
+    ``measured`` lists the measured qubits in classical-bit order. An
+    Aaronson-Gottesman tableau over m = ``width`` qubits: rows 0..m-1 are
+    destabilizers, rows m..2m-1 stabilizers, and row i holds an
     x and a z bit row (bit q is qubit q) and a phase. A phase is a GF(2)
     affine form rather than a bit: bit 0 is its constant and bit j the
     coefficient of the j-th random outcome. Measuring the qubits in
@@ -75,27 +82,27 @@ def _outcome_forms(circuit: Circuit) -> tuple[list[int], int]:
     in one pass: the j-th random measurement reads form ``1 << j`` and
     every later outcome is an affine function of the earlier ones.
     """
-    m = circuit.width
+    m = width
     xs = [1 << q for q in range(m)] + [0] * m
     zs = [0] * m + [1 << q for q in range(m)]
     rs = [0] * (2 * m)
     rows = range(2 * m)
-    for gate in circuit.gates:
-        if gate.kind == H:
-            bit = 1 << gate.operands[0]
+    for kind, operands in gates:
+        if kind == H:
+            bit = 1 << operands[0]
             for i in rows:
                 x, z = xs[i], zs[i]
                 if x & z & bit:
                     rs[i] ^= 1
                 elif (x | z) & bit:
                     xs[i], zs[i] = x ^ bit, z ^ bit
-        elif gate.kind == X:
-            bit = 1 << gate.operands[0]
+        elif kind == X:
+            bit = 1 << operands[0]
             for i in rows:
                 if zs[i] & bit:
                     rs[i] ^= 1
-        elif gate.kind == CNOT:
-            control, target = gate.operands
+        elif kind == CNOT:
+            control, target = operands
             cbit, tbit = 1 << control, 1 << target
             for i in rows:
                 x, z = xs[i], zs[i]
@@ -107,7 +114,7 @@ def _outcome_forms(circuit: Circuit) -> tuple[list[int], int]:
                     zs[i] = z ^ cbit
     forms: list[int] = []
     r = 0
-    for qubit in circuit.measured_qubits:
+    for qubit in measured:
         bit = 1 << qubit
         p = next((i for i in range(m, 2 * m) if xs[i] & bit), None)
         if p is None:  # deterministic: Z_qubit is the product of the stabilizers its destabilizers flag
@@ -139,7 +146,7 @@ def outcome_distribution(circuit: Circuit) -> tuple[list[str], np.ndarray]:
     """
     if not circuit.measured_qubits:
         raise ValueError("circuit declares no measured qubits")
-    forms, r = _outcome_forms(_relabel_onto_involved(circuit))
+    forms, r = _outcome_forms(*_relabel_onto_involved(circuit))
     k = len(forms)
     # columns[0] is the key with every random outcome 0; columns[j] the key bits random outcome j flips.
     columns = [0] * (r + 1)

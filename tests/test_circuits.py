@@ -23,7 +23,7 @@ from qghz.circuits import (
     with_measurements,
     x,
 )
-from qghz.coupling import CouplingMap, bundled_map, most_connected, rank_all
+from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
 from qghz.paths import ConnectionPath, create_path
 
 BELL_MAP = CouplingMap(2, [(0, 1)])
@@ -230,6 +230,24 @@ class TestEmitQasm:
             assert creg == len(circuit.measured_qubits)
             kinds = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
             assert ops == [(kinds[g.kind], *g.operands) for g in circuit.gates]
+
+    def test_roundtrip_at_1108_qubits(self):
+        # Rooted at the line's end, every GHZ and envariance CNOT runs against
+        # its edge and compiles to an inverse-CNOT sandwich.
+        cmap = line_map(1108)
+        path = path_on(cmap, 1108)
+        assert path.root == 1107
+        kinds = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
+        for circuit in (
+            build_ghz(cmap, path),
+            build_envariance(cmap, path),
+            build_parity(cmap, path, OraclePattern.ALL_ONES),
+        ):
+            assert verify_legality(cmap, circuit) == []
+            width, creg, ops = reparse_qasm(emit_qasm(circuit))
+            assert (width, creg) == (1108, len(circuit.measured_qubits))
+            assert ops == [(kinds[g.kind], *g.operands) for g in circuit.gates]
+        assert build_ghz(cmap, path).counts() == {"h": 1 + 4 * 1107, "cnot": 1107}
 
     def test_qx5_full_ghz_gate_audit(self):
         cmap = bundled_map("qx5")

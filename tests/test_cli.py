@@ -11,7 +11,8 @@ import pytest
 
 import qghz
 from oracles import reparse_qasm
-from qghz.cli import main, parse_queries
+from qghz.cli import _path_json, main, parse_queries
+from qghz.paths import ConnectionPath
 
 
 def run_cli(*argv) -> int:
@@ -324,6 +325,13 @@ class TestRunBounds:
         err = capsys.readouterr().err
         assert err == f"error: --shots must lie in [1, {MAX_SHOTS}], got {shots}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs", [(), ((1, 0),), ((5, 12), (1108, 5), (0, 1108), (7, 0))])
+def test_path_json_equals_json_dumps(pairs):
+    path = ConnectionPath(root=pairs[0][1] if pairs else 4, pairs=pairs, requested=len(pairs) + 1)
+    payload = {"root": path.root, "pairs": [list(p) for p in path.pairs]}
+    assert _path_json(path) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_usage_error_exits_one(capsys):

@@ -67,6 +67,10 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match="exceeds the limit"):
             load_map({"num_qubits": MAX_MAP_QUBITS + 1, "edges": []})
 
+    def test_integral_float_index_rejected(self):
+        with pytest.raises(MapFormatError, match=r"edges\[0\].*integers"):
+            load_map('{"num_qubits": 3, "edges": [[1.0, 2]]}')
+
     def test_bool_edge_index_rejected(self):
         with pytest.raises(MapFormatError, match=r"edges\[0\].*integers"):
             load_map('{"num_qubits": 3, "edges": [[true, 2]]}')
@@ -193,3 +197,57 @@ def test_rank_all_reversed_line_in_one_sweep():
     n = 20_000
     ranks = rank_all(CouplingMap(n, [(i + 1, i) for i in range(n - 1)]))
     assert ranks.tolist() == [n - 1 - i for i in range(n)]
+
+
+def cycle_grid_edges(side: int, rng) -> list[tuple[int, int]]:
+    """side x side grid (side even) whose couplings follow one directed Hamiltonian cycle.
+
+    The cycle runs along row 0, snakes over columns 1.. of the other rows
+    and returns up column 0. Couplings off the cycle point either way at
+    random.
+    """
+    cycle = [(0, c) for c in range(side)]
+    for r in range(1, side):
+        cycle += [(r, c) for c in (range(side - 1, 0, -1) if r % 2 else range(1, side))]
+    cycle += [(r, 0) for r in range(side - 1, 0, -1)]
+    labels = [r * side + c for r, c in cycle]
+    directed = {frozenset(pair): pair for pair in zip(labels, labels[1:] + labels[:1])}
+    edges = []
+    for q in range(side * side):
+        for other in ((q + 1) if (q + 1) % side else None, (q + side) if q + side < side * side else None):
+            if other is not None:
+                pair = directed.get(frozenset((q, other)))
+                edges.append(pair or ((q, other) if rng.random() < 0.5 else (other, q)))
+    return edges
+
+
+def test_rank_all_cyclic_grid_is_one_component():
+    # Every qubit reaches every other, so every rank is n - 1.
+    side = 100
+    edges = cycle_grid_edges(side, np.random.default_rng(11))
+    assert len(edges) == 2 * side * (side - 1)
+    ranks = rank_all(CouplingMap(side * side, edges))
+    assert ranks.tolist() == [side * side - 1] * (side * side)
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 7, 40])
+def test_rank_all_chained_three_cycles(cycles):
+    # Cycle i reaches cycle i + 1 by one edge, so its members are reached by
+    # the 3 * (i + 1) members of cycles 0..i, themselves excluded.
+    label = np.random.default_rng(cycles).permutation(3 * cycles).tolist()
+    edges = []
+    for i in range(cycles):
+        a, b, c = label[3 * i:3 * i + 3]
+        edges += [(a, b), (b, c), (c, a)]
+        if i + 1 < cycles:
+            edges.append((c, label[3 * i + 3]))
+    ranks = rank_all(CouplingMap(3 * cycles, edges))
+    for position, qubit in enumerate(label):
+        assert ranks[qubit] == 3 * (position // 3 + 1) - 1
+
+
+def test_rank_all_large_random_digraph_matches_closure():
+    n = 2000
+    rng = np.random.default_rng(20261018)
+    edges = sorted({(int(c), int(t)) for c, t in rng.integers(0, n, size=(2 * n, 2)) if c != t})
+    assert rank_all(CouplingMap(n, edges)).tolist() == closure_ranks(n, edges)

@@ -267,24 +267,24 @@ class TestSamplingMatchesFullWidthReference:
         simulated = []
         outcome_forms = simulator._outcome_forms
 
-        def recording(circuit):
-            simulated.append(circuit)
-            return outcome_forms(circuit)
+        def recording(width, gates, measured):
+            simulated.append((width, gates, measured))
+            return outcome_forms(width, gates, measured)
 
         monkeypatch.setattr(simulator, "_outcome_forms", recording)
         cmap = line_map(25)
         circuit = build_envariance(cmap, create_path(cmap, 24, 3))
         assert set(sample(circuit, 1000, seed=1)) <= {"000", "111"}
-        [compact] = simulated
+        [(width, gates, measured)] = simulated
         # Qubits 22, 23, 24 become 0, 1, 2 in the same order; gates and
         # classical bits are otherwise unchanged.
-        assert compact.width == 3
-        assert compact.measured_qubits == (2, 1, 0)
+        assert width == 3
+        assert measured == (2, 1, 0)
         physical = (22, 23, 24)
         restored = tuple(
-            Gate(g.kind, (physical[g.operands[0]], g.operands[1]) if g.kind == MEASURE
-                 else tuple(physical[q] for q in g.operands))
-            for g in compact.gates
+            Gate(kind, (physical[operands[0]], operands[1]) if kind == MEASURE
+                 else tuple(physical[q] for q in operands))
+            for kind, operands in gates
         )
         assert restored == circuit.gates
 
