@@ -11,7 +11,6 @@ from .analysis import (
     LearningOutcome,
     bhattacharyya,
     fidelity_experiment,
-    majority_vote,
     parity_learn,
     path_for,
     perr_curve,

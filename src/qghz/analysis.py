@@ -42,18 +42,6 @@ from .simulator import (
 Distribution = dict[str, float]
 
 
-def validate_distribution(dist: Distribution, tol: float = 1e-9) -> None:
-    """Check uniform key lengths and unit total probability."""
-    if not dist:
-        raise ValueError("distribution is empty")
-    lengths = {len(k) for k in dist}
-    if len(lengths) != 1:
-        raise ValueError(f"distribution keys have mixed lengths: {sorted(lengths)}")
-    total = sum(dist.values())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"distribution sums to {total}, not 1")
-
-
 def two_peak_distribution(n: int) -> Distribution:
     """Ideal GHZ measurement outcome: all-zeros and all-ones, half each."""
     return {"0" * n: 0.5, "1" * n: 0.5}
@@ -118,24 +106,6 @@ def fidelity_experiment(cmap: CouplingMap, n: int, shots: int, repetitions: int,
     """Sample the envariance circuit ``repetitions`` times and report B and I95."""
     circuit = build_envariance(cmap, path_for(cmap, n))
     return fidelity_report(b_per_repetition(envariance_histograms(circuit, shots, repetitions, seed), n))
-
-
-def majority_vote(samples, n: int) -> str:
-    """Bitwise majority over equal-length bit strings.
-
-    Bit j of the result is 1 iff strictly more than half the samples have
-    bit j set; ties and an empty sample list give 0.
-    """
-    votes = [0] * n
-    count = 0
-    for s in samples:
-        if len(s) != n:
-            raise ValueError(f"sample {s!r} has length {len(s)}, expected {n}")
-        count += 1
-        for j, ch in enumerate(s):
-            if ch == "1":
-                votes[j] += 1
-    return "".join("1" if 2 * v > count else "0" for v in votes)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,9 @@ class Circuit:
             for q in qubits:
                 if not (0 <= q < self.width):
                     raise ValueError(f"gate {i} ({gate.kind}): qubit {q} out of range [0, {self.width})")
+        for q in self.measured_qubits:
+            if not (0 <= q < self.width):
+                raise ValueError(f"measured qubit {q} out of range [0, {self.width})")
         if len(set(self.measured_qubits)) != len(self.measured_qubits):
             raise ValueError(f"duplicate measured qubits: {self.measured_qubits}")
 

@@ -7,9 +7,10 @@ line-oriented reparse, the learner error rate from exact enumeration
 with rational arithmetic, gate action from dense Kronecker-product
 unitaries, and outcome distributions from a statevector simulator. The
 element-wise loop kernels restate the numpy kernels' arithmetic one
-amplitude at a time, so the kernels can be held to them bit for bit. The parity oracle, its learner and the circuit cross-check are
-restated one Python sample at a time, so the package's count table can be
-held to them exactly.
+amplitude at a time, so the kernels can be held to them bit for bit. The
+parity oracle, its learner (with a literal bitwise majority vote) and the
+circuit cross-check are restated one Python sample at a time, so the
+package's count table can be held to them exactly.
 """
 
 from __future__ import annotations
@@ -320,6 +321,18 @@ def reference_sample(circuit, shots: int, seed, loops: bool = False) -> dict[str
     return {format(i, f"0{k}b"): int(c) for i, c in enumerate(counts) if c > 0}
 
 
+def validate_distribution(dist: dict[str, float], tol: float = 1e-9) -> None:
+    """Check uniform key lengths and unit total probability."""
+    if not dist:
+        raise ValueError("distribution is empty")
+    lengths = {len(k) for k in dist}
+    if len(lengths) != 1:
+        raise ValueError(f"distribution keys have mixed lengths: {sorted(lengths)}")
+    total = sum(dist.values())
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"distribution sums to {total}, not 1")
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
@@ -339,6 +352,24 @@ def reference_oracle_samples(eta: float, a_string: str, queries: int, seed) -> l
     return [(a_string if bit else zeros, int(bit) ^ int(flip)) for flip, bit in zip(noisy, carries_a)]
 
 
+def majority_vote(samples, n: int) -> str:
+    """Bitwise majority over equal-length bit strings.
+
+    Bit j of the result is 1 iff strictly more than half the samples have
+    bit j set; ties and an empty sample list give 0.
+    """
+    votes = [0] * n
+    count = 0
+    for s in samples:
+        if len(s) != n:
+            raise ValueError(f"sample {s!r} has length {len(s)}, expected {n}")
+        count += 1
+        for j, ch in enumerate(s):
+            if ch == "1":
+                votes[j] += 1
+    return "".join("1" if 2 * v > count else "0" for v in votes)
+
+
 def reference_parity_perr(eta: float, a_string: str, queries: int, repetitions: int, seed) -> float:
     """Failure fraction of the literal learner, one sample list per repetition.
 
@@ -346,8 +377,6 @@ def reference_parity_perr(eta: float, a_string: str, queries: int, repetitions: 
     keeps the queries with result 1, takes their bitwise majority vote (ties
     and no kept queries give 0 bits) and fails when the vote is not a.
     """
-    from qghz.analysis import majority_vote
-
     failures = 0
     for child in np.random.SeedSequence(seed).spawn(repetitions):
         kept = [q for q, r in reference_oracle_samples(eta, a_string, queries, child) if r == 1]

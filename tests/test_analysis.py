@@ -6,19 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_4sigma, exact_perr, reference_crosscheck_tv, reference_parity_perr
+from oracles import (
+    binomial_4sigma,
+    exact_perr,
+    majority_vote,
+    reference_crosscheck_tv,
+    reference_parity_perr,
+    validate_distribution,
+)
 from qghz.analysis import (
     FidelityReport,
     bhattacharyya,
     circuit_oracle_crosscheck,
     fidelity_experiment,
     frequencies,
-    majority_vote,
     parity_learn,
     path_for,
     perr_curve,
     two_peak_distribution,
-    validate_distribution,
 )
 from qghz.circuits import OraclePattern, build_parity, effective_a
 from qghz.coupling import bundled_map

@@ -60,6 +60,11 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError, match="out of range"):
             Circuit(width=1, gates=(h(1),))
 
+    def test_circuit_rejects_out_of_range_measured_qubits(self):
+        for measured in ((5,), (0, 2), (-1,)):
+            with pytest.raises(ValueError, match="measured qubit .* out of range"):
+                Circuit(width=2, gates=(), measured_qubits=measured)
+
     def test_circuit_rejects_duplicate_measured_qubits(self):
         with pytest.raises(ValueError, match="duplicate"):
             Circuit(width=2, gates=(), measured_qubits=(0, 0))

@@ -416,3 +416,16 @@ class TestWideMap:
         histograms = read_json(out / "results.json")["histograms"]
         assert len(histograms) == 2
         assert all(set(h) <= {"0" * 300, "1" * 300} for h in histograms)
+
+    def test_envariance_over_involved_qubit_limit_is_one_error_line(self, tmp_path, capsys):
+        from qghz.simulator import MAX_INVOLVED_QUBITS
+
+        n = MAX_INVOLVED_QUBITS + 1
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"num_qubits": n, "edges": [[i, i + 1] for i in range(n - 1)]}))
+        out = tmp_path / "env"
+        assert run_cli("envariance", "--map", str(path), "-n", str(n), "--reps", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: circuit involves {n} qubits") and err.count("\n") == 1
+        assert "MAX_INVOLVED_QUBITS" in err
+        assert not out.exists()

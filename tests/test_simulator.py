@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -15,6 +15,7 @@ from oracles import (
     run_exact,
     zero_state,
 )
+from test_coupling import cycle_grid_edges
 from qghz import simulator
 from qghz.analysis import envariance_histograms, path_for
 from qghz.circuits import (
@@ -26,6 +27,7 @@ from qghz.circuits import (
     build_ghz,
     build_parity,
     cnot,
+    effective_a,
     h,
     measure,
     with_measurements,
@@ -34,6 +36,7 @@ from qghz.circuits import (
 from qghz.coupling import CouplingMap, bundled_map, line_map
 from qghz.paths import create_path
 from qghz.simulator import (
+    MAX_INVOLVED_QUBITS,
     MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
     exact_distribution,
@@ -265,13 +268,13 @@ class TestSamplingMatchesFullWidthReference:
 
     def test_simulates_involved_qubits_only(self, monkeypatch):
         simulated = []
-        outcome_forms = simulator._outcome_forms
+        outcome_keys = simulator._outcome_keys
 
         def recording(width, gates, measured):
             simulated.append((width, gates, measured))
-            return outcome_forms(width, gates, measured)
+            return outcome_keys(width, gates, measured)
 
-        monkeypatch.setattr(simulator, "_outcome_forms", recording)
+        monkeypatch.setattr(simulator, "_outcome_keys", recording)
         cmap = line_map(25)
         circuit = build_envariance(cmap, create_path(cmap, 24, 3))
         assert set(sample(circuit, 1000, seed=1)) <= {"000", "111"}
@@ -295,6 +298,58 @@ class TestSamplingMatchesFullWidthReference:
         with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION"):
             sample(circuit, 10, seed=0)
 
+    def test_involved_qubits_are_capped_before_the_tableau(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the tableau was built for a circuit over the limit")
+
+        monkeypatch.setattr(simulator, "_outcome_keys", fail)
+        width = MAX_INVOLVED_QUBITS + 1
+        circuit = Circuit(width, (), measured_qubits=tuple(range(width)))
+        with pytest.raises(ValueError, match="MAX_INVOLVED_QUBITS"):
+            outcome_distribution(circuit)
+
+
+CLOSED_FORM_PATHS = ["qx5", "line300", "line1108", "grid784"]
+
+
+def placed_path(name: str):
+    """(map, path) for the closed-form checks: 6 qubits of qx5, or every qubit of a wide map.
+
+    A line is rooted at its end, so every GHZ CNOT runs against its edge
+    and compiles to an inverse-CNOT sandwich; qx5 and the cyclic grid are
+    rooted at their most connected qubit.
+    """
+    if name == "qx5":
+        cmap = bundled_map(name)
+        return cmap, path_for(cmap, 6)
+    if name == "grid784":
+        cmap = CouplingMap(28 * 28, cycle_grid_edges(28, np.random.default_rng(5)))
+        return cmap, path_for(cmap, cmap.num_qubits)
+    cmap = line_map(int(name.removeprefix("line")))
+    return cmap, create_path(cmap, cmap.num_qubits - 1, cmap.num_qubits)
+
+
+class TestClosedFormsAtWidth:
+    """Outcomes against their closed forms, at widths the statevector oracle cannot reach too."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_PATHS)
+    def test_ghz_and_envariance_give_all_zeros_and_all_ones(self, name):
+        cmap, path = placed_path(name)
+        n = len(path.involved())
+        for circuit in (with_measurements(build_ghz(cmap, path), path.involved()), build_envariance(cmap, path)):
+            keys, probs = outcome_distribution(circuit)
+            assert keys == ["0" * n, "1" * n]
+            assert probs.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_PATHS)
+    def test_parity_gives_zeros_or_result_one_with_a(self, name):
+        # The result bit is leftmost: on qx5, pattern 10 gives ["000000", "111100"].
+        cmap, path = placed_path(name)
+        for pattern in OraclePattern:
+            keys, probs = outcome_distribution(build_parity(cmap, path, pattern))
+            assert keys == ["0" * len(path.involved()), "1" + effective_a(path, pattern)]
+            assert probs.tolist() == [0.5, 0.5]
+
 
 @st.composite
 def clifford_circuits(draw) -> Circuit:
@@ -316,6 +371,9 @@ class TestTableauMatchesStatevector:
     """The tableau's outcome distribution against the statevector oracle."""
 
     @given(clifford_circuits())
+    # After cx(0, 1) h(0) one stabilizer is X0 Z1, which the second cx turns
+    # into -Y0 Y1: only the CNOT's sign term gives outcomes 00 and 11.
+    @example(with_measurements(Circuit(2, (cnot(0, 1), h(0), cnot(0, 1))), (0, 1)))
     @settings(max_examples=300, deadline=None)
     def test_random_circuits(self, circuit):
         keys, probs = outcome_distribution(circuit)
