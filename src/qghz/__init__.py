@@ -27,6 +27,7 @@ from .circuits import (
     cnot_legal,
     effective_a,
     emit_qasm,
+    measured_circuit,
     verify_legality,
     with_measurements,
 )

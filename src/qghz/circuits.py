@@ -20,12 +20,23 @@ Three circuit families:
   pattern, then H on all involved qubits and measurements. Measuring yields
   (0^n, 0) or (a, 1) with equal probability, where the encoded string a
   marks the query qubits whose CNOT chain connects to the root.
+
+A gate is an immutable ``(kind, operands)`` tuple, the form the QASM
+writer and the simulator read it in (``for kind, operands in gates``), as
+in Stim's flat (gate, targets) records. ``Gate(kind, operands)`` checks
+the kind, the arity and that a cnot's qubits differ; the factories ``h``,
+``x``, ``cnot`` and ``measure`` build the tuple directly, since their
+signatures fix kind and arity (``cnot`` still checks its two qubits). Each
+builder constructs its Circuit once, and ``Circuit`` range-checks every
+operand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .coupling import CouplingMap
 from .paths import ConnectionPath
@@ -43,40 +54,54 @@ class IllegalCouplingError(ValueError):
     """Neither direction of a requested CNOT is a coupling-map edge."""
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: kind plus operand indices.
+_tuple_new = tuple.__new__
+
+
+class Gate(tuple):
+    """One gate: an immutable (kind, operands) tuple, equal to and hashed as the plain tuple.
 
     Operands are (qubit,) for h/x, (control, target) for cnot and
-    (qubit, classical_bit) for measure.
+    (qubit, classical_bit) for measure. The constructor validates; the
+    factories below do not need to.
     """
 
-    kind: str
-    operands: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _ARITY:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.operands) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} operands, got {self.operands!r}")
-        if self.kind == CNOT and self.operands[0] == self.operands[1]:
-            raise ValueError(f"cnot control and target coincide: {self.operands}")
+    def __new__(cls, kind: str, operands: tuple[int, ...]):
+        if kind not in _ARITY:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if len(operands) != _ARITY[kind]:
+            raise ValueError(f"{kind} takes {_ARITY[kind]} operands, got {operands!r}")
+        if kind == CNOT and operands[0] == operands[1]:
+            raise ValueError(f"cnot control and target coincide: {operands}")
+        return _tuple_new(cls, (kind, operands))
+
+    def __getnewargs__(self):  # copy and pickle call __new__(cls, kind, operands)
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Gate(kind={self[0]!r}, operands={self[1]!r})"
+
+    kind = property(itemgetter(0), doc="h, x, cnot or measure")
+    operands = property(itemgetter(1), doc="qubit indices, plus the classical bit of a measure")
 
 
 def h(qubit: int) -> Gate:
-    return Gate(H, (qubit,))
+    return _tuple_new(Gate, (H, (qubit,)))
 
 
 def x(qubit: int) -> Gate:
-    return Gate(X, (qubit,))
+    return _tuple_new(Gate, (X, (qubit,)))
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(CNOT, (control, target))
+    if control == target:
+        raise ValueError(f"cnot control and target coincide: {(control, target)}")
+    return _tuple_new(Gate, (CNOT, (control, target)))
 
 
 def measure(qubit: int, clbit: int) -> Gate:
-    return Gate(MEASURE, (qubit, clbit))
+    return _tuple_new(Gate, (MEASURE, (qubit, clbit)))
 
 
 @dataclass(frozen=True)
@@ -92,11 +117,11 @@ class Circuit:
     measured_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for i, gate in enumerate(self.gates):
-            qubits = gate.operands[:1] if gate.kind == MEASURE else gate.operands
-            for q in qubits:
-                if not (0 <= q < self.width):
-                    raise ValueError(f"gate {i} ({gate.kind}): qubit {q} out of range [0, {self.width})")
+        width = self.width
+        for i, (kind, operands) in enumerate(self.gates):
+            for q in operands[:1] if kind == MEASURE else operands:
+                if not 0 <= q < width:
+                    raise ValueError(f"gate {i} ({kind}): qubit {q} out of range [0, {width})")
         for q in self.measured_qubits:
             if not (0 <= q < self.width):
                 raise ValueError(f"measured qubit {q} out of range [0, {self.width})")
@@ -104,11 +129,8 @@ class Circuit:
             raise ValueError(f"duplicate measured qubits: {self.measured_qubits}")
 
     def counts(self) -> dict[str, int]:
-        """Number of gates of each kind."""
-        out: dict[str, int] = {}
-        for gate in self.gates:
-            out[gate.kind] = out.get(gate.kind, 0) + 1
-        return out
+        """Number of gates of each kind, in order of first appearance."""
+        return dict(Counter(map(itemgetter(0), self.gates)))
 
 
 class OraclePattern(Enum):
@@ -148,8 +170,11 @@ def build_ghz(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
     return Circuit(width=cmap.num_qubits, gates=tuple(ghz_gates(cmap, path)))
 
 
-def _measured(width: int, gates: list[Gate], qubits) -> Circuit:
-    """Circuit of ``gates`` plus terminal measurements mapping the i-th listed qubit to bit i."""
+def measured_circuit(width: int, gates: list[Gate], qubits) -> Circuit:
+    """Circuit of ``gates`` plus terminal measurements mapping the i-th listed qubit to bit i.
+
+    Extends ``gates`` in place and constructs the one Circuit.
+    """
     qubits = tuple(qubits)
     gates.extend(measure(q, i) for i, q in enumerate(qubits))
     return Circuit(width=width, gates=tuple(gates), measured_qubits=qubits)
@@ -157,7 +182,7 @@ def _measured(width: int, gates: list[Gate], qubits) -> Circuit:
 
 def with_measurements(circuit: Circuit, qubits) -> Circuit:
     """Append terminal measurements mapping the i-th listed qubit to bit i."""
-    return _measured(circuit.width, list(circuit.gates), qubits)
+    return measured_circuit(circuit.width, list(circuit.gates), qubits)
 
 
 def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
@@ -173,7 +198,7 @@ def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
     gates = ghz_gates(cmap, path)
     gates.extend(x(q) for q in involved[:split])
     gates.extend(x(q) for q in involved[split:])
-    return _measured(cmap.num_qubits, gates, involved)
+    return measured_circuit(cmap.num_qubits, gates, involved)
 
 
 def _selected_pairs(path: ConnectionPath, pattern: OraclePattern) -> tuple[tuple[int, int], ...]:
@@ -216,15 +241,15 @@ def build_parity(cmap: CouplingMap, path: ConnectionPath, pattern: OraclePattern
     for new, anchor in _selected_pairs(path, pattern):
         gates.extend(cnot_legal(cmap, new, anchor))
     gates.extend(h(q) for q in involved)
-    return _measured(cmap.num_qubits, gates, involved)
+    return measured_circuit(cmap.num_qubits, gates, involved)
 
 
 def verify_legality(cmap: CouplingMap, circuit: Circuit) -> list[str]:
     """Report every CNOT whose (control, target) is not a directed map edge."""
     violations = []
-    for i, gate in enumerate(circuit.gates):
-        if gate.kind == CNOT and gate.operands not in cmap.edges:
-            control, target = gate.operands
+    for i, (kind, operands) in enumerate(circuit.gates):
+        if kind == CNOT and operands not in cmap.edges:
+            control, target = operands
             violations.append(f"gate {i}: cnot({control},{target}) is not a directed edge of the map")
     return violations
 
@@ -238,7 +263,7 @@ def emit_qasm(circuit: Circuit) -> str:
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
     if circuit.measured_qubits:
         lines.append(f"creg c[{len(circuit.measured_qubits)}];")
-    lines += [_QASM[gate.kind] % gate.operands for gate in circuit.gates]
+    lines += [_QASM[kind] % operands for kind, operands in circuit.gates]
     return "\n".join(lines) + "\n"
 
 
@@ -246,6 +271,6 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
     """Debug representation: plain dict of width, gates and measured qubits."""
     return {
         "width": circuit.width,
-        "gates": [{"kind": g.kind, "operands": list(g.operands)} for g in circuit.gates],
+        "gates": [{"kind": kind, "operands": list(operands)} for kind, operands in circuit.gates],
         "measured_qubits": list(circuit.measured_qubits),
     }

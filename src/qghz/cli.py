@@ -39,13 +39,13 @@ from .circuits import (
     IllegalCouplingError,
     OraclePattern,
     build_envariance,
-    build_ghz,
     build_parity,
     circuit_to_json_dict,
     effective_a,
     emit_qasm,
+    ghz_gates,
+    measured_circuit,
     verify_legality,
-    with_measurements,
 )
 from .coupling import MapFormatError, most_connected, rank_all, resolve_map
 from .paths import UnreachableQubitsError
@@ -153,12 +153,15 @@ def _compiled(cmap, experiment: str, n: int, pattern: str | None):
             raise UsageError("parity circuits need --pattern {00,10,11}")
         if n < 1:
             raise UsageError("parity circuits need at least one query qubit")
+        if n + 1 > cmap.num_qubits:
+            raise UsageError(f"parity with n = {n} needs n + 1 = {n + 1} qubits (the query qubits plus the "
+                             f"result qubit); map {cmap.name} has {cmap.num_qubits}")
         path = path_for(cmap, n + 1)
         oracle = OraclePattern(pattern)
         circuit, a_string = build_parity(cmap, path, oracle), effective_a(path, oracle)
     elif experiment == "ghz":
         path = path_for(cmap, n)
-        circuit = with_measurements(build_ghz(cmap, path), path.involved())
+        circuit = measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), path.involved())
     else:
         path = path_for(cmap, n)
         circuit = build_envariance(cmap, path)

@@ -16,15 +16,18 @@ outcome and one flip per free bit, and the 2^r outcomes are listed from
 those. The tableau runs on a copy relabelled onto the circuit's involved
 qubits (those any gate touches, plus the measured ones), so map size costs
 nothing. Two caps apply. At most ``MAX_INVOLVED_QUBITS`` = 2048 qubits
-are involved: on a dense random tableau the elimination multiplies about
-m^2/4 row pairs, 5.6-7.0 s at 2048 qubits, while envariance and parity on
-a 2048-qubit line take at most 0.05 s (2-core Xeon, Python 3.11). And the
-support dimension r is at most ``MAX_SUPPORT_DIMENSION`` = 20, so at most
-2^20 outcomes are listed. Repetitions draw from that one distribution: a
-multinomial over its support, which gives the same counts as one over all
-2^k outcomes, since numpy's binomial draws consume no random numbers for
-p = 0. A statevector simulator is kept in ``tests/oracles.py`` as the
-independent reference the tests hold this engine to.
+are involved: on a dense random tableau measured on a few qubits the
+elimination multiplies about m^2/4 row pairs, 5.6-7.6 s at 2048 qubits,
+while envariance and parity on a 2048-qubit line take at most 0.05 s
+(2-core Xeon, Python 3.11). And the support dimension r is at most
+``MAX_SUPPORT_DIMENSION`` = 20, so at most 2^20 outcomes are listed; the
+elimination stops as soon as r is certain to exceed it, so the same dense
+tableau measured on every qubit raises after 2.2-2.4 s. Repetitions draw
+from that one distribution: a multinomial over its support, which gives
+the same counts as one over all 2^k outcomes, since numpy's binomial
+draws consume no random numbers for p = 0. A statevector simulator is
+kept in ``tests/oracles.py`` as the independent reference the tests hold
+this engine to.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
@@ -52,18 +55,18 @@ Histogram = dict[str, int]
 def _relabel_onto_involved(circuit: Circuit) -> tuple[int, list, tuple[int, ...]]:
     """(width, gates, measured qubits) over the involved qubits, relabelled 0..m-1 in ascending order.
 
-    Gates become plain (kind, operands) tuples; a measurement keeps its
-    classical bit. The circuit was validated when built, so nothing is
-    checked again.
+    The relabelled gates are plain (kind, operands) tuples; a measurement
+    keeps its classical bit. The circuit was validated when built, so
+    nothing is checked again.
     """
     involved = set(circuit.measured_qubits)
-    for gate in circuit.gates:
-        involved.update(gate.operands[:1] if gate.kind == MEASURE else gate.operands)
+    for kind, operands in circuit.gates:
+        involved.update(operands[:1] if kind == MEASURE else operands)
     index = {q: i for i, q in enumerate(sorted(involved))}
     gates = [
-        (MEASURE, (index[g.operands[0]], g.operands[1])) if g.kind == MEASURE
-        else (g.kind, tuple([index[q] for q in g.operands]))
-        for g in circuit.gates
+        (MEASURE, (index[operands[0]], operands[1])) if kind == MEASURE
+        else (kind, tuple([index[q] for q in operands]))
+        for kind, operands in circuit.gates
     ]
     return len(index), gates, tuple([index[q] for q in circuit.measured_qubits])
 
@@ -121,19 +124,25 @@ def _outcome_keys(width: int, gates, measured: tuple[int, ...]) -> list[int]:
     # independent, so none reduces to zero. The key bits sit above every x
     # and unmeasured z bit, so a row reduced to key bits alone is a Z string
     # on measured qubits: a parity check z.o = sign on the outcome. The
-    # checks come out in echelon form on their lowest key bit.
+    # checks come out in echelon form on their lowest key bit. The m pivots
+    # split into checks and pivots below the key bits, so the support
+    # dimension is r = k - m + (pivots below); that count only grows, and
+    # the elimination stops as soon as it makes r too large.
     pivots: dict[int, tuple[int, int, int]] = {}
+    below, most_below = 0, MAX_SUPPORT_DIMENSION + m - k
     for x, z, sign in rows:
         vec = z << m | x
         while (bit := (vec & -vec).bit_length() - 1) in pivots:
             x, z, sign = _product(*pivots[bit], x, z, sign)
             vec = z << m | x
         pivots[bit] = (x, z, sign)
+        if bit < m + u:
+            below += 1
+            if below > most_below:
+                raise ValueError(f"measured outcomes span more than 2^{MAX_SUPPORT_DIMENSION} values: support "
+                                 f"dimension exceeds MAX_SUPPORT_DIMENSION = {MAX_SUPPORT_DIMENSION}")
     checks = {bit - m - u: (z >> u, sign) for bit, (x, z, sign) in pivots.items() if bit >= m + u}
     free = [j for j in reversed(range(k)) if j not in checks]
-    if len(free) > MAX_SUPPORT_DIMENSION:
-        raise ValueError(f"measured outcomes span more than 2^{MAX_SUPPORT_DIMENSION} values: support dimension "
-                         f"exceeds MAX_SUPPORT_DIMENSION = {MAX_SUPPORT_DIMENSION}")
     # Back-substitute from the top pivot down: a check fixes its pivot bit
     # from the bits above it, so each pivot bit is its value in the base key
     # (every free bit 0) plus the free bits that flip it.

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import copy
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_map
 from oracles import reparse_qasm
+from qghz import simulator
+from qghz.analysis import path_for
 from qghz.circuits import (
     CNOT,
     Circuit,
@@ -17,14 +24,17 @@ from qghz.circuits import (
     cnot_legal,
     effective_a,
     emit_qasm,
+    ghz_gates,
     h,
     measure,
+    measured_circuit,
     verify_legality,
     with_measurements,
     x,
 )
 from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
 from qghz.paths import ConnectionPath, create_path
+from qghz.simulator import outcome_distribution
 
 BELL_MAP = CouplingMap(2, [(0, 1)])
 BELL_PATH = ConnectionPath(root=0, pairs=((1, 0),), requested=2)
@@ -53,8 +63,34 @@ class TestGateAndCircuitValidation:
             Gate("t", (0,))
 
     def test_cnot_needs_distinct_operands(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coincide"):
             cnot(1, 1)
+        with pytest.raises(ValueError, match="coincide"):
+            Gate("cnot", (1, 1))
+
+    def test_constructor_checks_arity(self):
+        for kind, operands in (("h", (0, 1)), ("x", ()), ("cnot", (0,)), ("measure", (0, 1, 2))):
+            with pytest.raises(ValueError, match="operands"):
+                Gate(kind, operands)
+
+    def test_gate_is_immutable(self):
+        gate = h(3)
+        with pytest.raises(AttributeError):
+            gate.kind = "x"
+        assert gate.kind == "h" and gate.operands == (3,)
+        assert copy.deepcopy(gate) == gate and type(copy.deepcopy(gate)) is Gate
+
+    def test_factories_equal_the_checked_constructor(self):
+        assert h(3) == Gate("h", (3,)) and hash(h(3)) == hash(Gate("h", (3,)))
+        assert (x(2), cnot(0, 1), measure(4, 0)) == (Gate("x", (2,)), Gate("cnot", (0, 1)), Gate("measure", (4, 0)))
+        # A line rooted at its end: every CNOT is an inverse-CNOT sandwich.
+        cmap = line_map(1108)
+        path = create_path(cmap, 1107, 1108)
+        rebuilt = [Gate("h", (1107,))]
+        for new, anchor in path.pairs:
+            rebuilt += [Gate("h", (anchor,)), Gate("h", (new,)), Gate("cnot", (new, anchor)),
+                        Gate("h", (new,)), Gate("h", (anchor,))]
+        assert build_ghz(cmap, path) == Circuit(1108, tuple(rebuilt))
 
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -271,3 +307,61 @@ def test_with_measurements_appends_in_listed_order():
     circuit = with_measurements(build_ghz(CHAIN, create_path(CHAIN, 2, 3)), (2, 1, 0))
     assert circuit.measured_qubits == (2, 1, 0)
     assert circuit.gates[-3:] == (measure(2, 0), measure(1, 1), measure(0, 2))
+
+
+@st.composite
+def connected_maps(draw) -> CouplingMap:
+    """Weakly connected map of 2-200 qubits with random edge directions and some directed cycles.
+
+    A random tree (each qubit joins an earlier one in a drawn order, along
+    a drawn direction), plus up to three directed cycles through drawn
+    qubits; a cycle edge whose reverse is already a tree edge stays, so
+    the cycle is always directed.
+    """
+    n = draw(st.integers(2, 200))
+    order = draw(st.permutations(range(n)))
+    edges = set()
+    for i in range(1, n):
+        a, b = order[i], order[draw(st.integers(0, i - 1))]
+        edges.add((a, b) if draw(st.booleans()) else (b, a))
+    if n >= 3:
+        for cycle in draw(st.lists(st.lists(st.sampled_from(order), min_size=3, max_size=8, unique=True),
+                                   max_size=3)):
+            edges.update(zip(cycle, cycle[1:] + cycle[:1]))
+    return CouplingMap(n, sorted(edges))
+
+
+@st.composite
+def compiled_experiments(draw):
+    """(map, experiment, circuit, expected outcome keys) for ghz, envariance or parity at a drawn n."""
+    cmap = draw(connected_maps())
+    experiment = draw(st.sampled_from(["ghz", "envariance", *OraclePattern]))
+    if experiment in ("ghz", "envariance"):
+        path = path_for(cmap, draw(st.integers(2, cmap.num_qubits)))
+        involved = path.involved()
+        if experiment == "ghz":
+            circuit = measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), involved)
+        else:
+            circuit = build_envariance(cmap, path)
+        return cmap, experiment, circuit, ["0" * len(involved), "1" * len(involved)]
+    path = path_for(cmap, draw(st.integers(1, cmap.num_qubits - 1)) + 1)
+    expected = ["0" * len(path.involved()), "1" + effective_a(path, experiment)]
+    return cmap, experiment, build_parity(cmap, path, experiment), expected
+
+
+KINDS = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
+
+
+@given(compiled_experiments())
+@settings(max_examples=60, deadline=None)
+def test_compiled_circuits_are_legal_and_compute_their_closed_forms(compiled):
+    cmap, experiment, circuit, expected = compiled
+    assert verify_legality(cmap, circuit) == []
+    width, creg, ops = reparse_qasm(emit_qasm(circuit))
+    assert (width, creg) == (cmap.num_qubits, len(circuit.measured_qubits))
+    assert ops == [(KINDS[kind], *operands) for kind, operands in circuit.gates]
+    # Every correct compile has support dimension 1, so a cap of 1 makes a
+    # wrong one raise at once instead of listing up to 2^20 long keys.
+    with mock.patch.object(simulator, "MAX_SUPPORT_DIMENSION", 1):
+        keys, probs = outcome_distribution(circuit)
+    assert keys == expected and probs.tolist() == [0.5, 0.5]

@@ -172,6 +172,17 @@ class TestParity:
         results = read_json(out / "results.json")
         assert all(point["p_err"] == 0.0 for point in results["p_err"])
 
+    @pytest.mark.parametrize("command", ["parity", "compile"])
+    def test_qubit_budget_names_the_result_qubit(self, command, tmp_path, capsys):
+        # qx5 has 16 qubits: 16 query qubits plus the result qubit need 17.
+        out = tmp_path / "x"
+        extra = ["--queries", "4"] if command == "parity" else ["--experiment", "parity"]
+        assert run_cli(command, "--map", "qx5", "-n", "16", "--pattern", "11", *extra, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: parity with n = 16 needs n + 1 = 17 qubits (the query qubits plus the "
+                       "result qubit); map qx5 has 16\n")
+        assert not out.exists()
+
     def test_eta_out_of_range(self, tmp_path, capsys):
         code = run_cli(
             "parity", "--map", "qx4", "-n", "2", "--pattern", "11",

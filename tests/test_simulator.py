@@ -298,6 +298,34 @@ class TestSamplingMatchesFullWidthReference:
         with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION"):
             sample(circuit, 10, seed=0)
 
+    def test_support_cap_stops_the_elimination_early(self, monkeypatch):
+        # A dense 200-qubit tableau: H everywhere, then random CNOTs with
+        # random H between. Measured on all qubits its support is far over
+        # 2^20; measured on 12, the support limit cannot be reached, so the
+        # elimination of the same rows runs to the end.
+        calls = []
+        product = simulator._product
+
+        def counting(*row_pair):
+            calls.append(1)
+            return product(*row_pair)
+
+        monkeypatch.setattr(simulator, "_product", counting)
+        width, rng = 200, np.random.default_rng(7)
+        gates = [h(q) for q in range(width)]
+        for _ in range(12 * width):
+            control, target = rng.choice(width, size=2, replace=False)
+            gates.append(cnot(int(control), int(target)))
+            if rng.random() < 0.5:
+                gates.append(h(int(rng.integers(width))))
+        with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION = 20"):
+            outcome_distribution(with_measurements(Circuit(width, tuple(gates)), range(width)))
+        stopped = len(calls)
+        calls.clear()
+        keys, _ = outcome_distribution(with_measurements(Circuit(width, tuple(gates)), range(12)))
+        assert len(keys) == 1 << 12
+        assert 0 < stopped < len(calls) // 20
+
     def test_involved_qubits_are_capped_before_the_tableau(self, monkeypatch):
         def fail(*args):
             raise AssertionError("the tableau was built for a circuit over the limit")
