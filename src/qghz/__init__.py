@@ -12,7 +12,6 @@ from .analysis import (
     bhattacharyya,
     fidelity_experiment,
     parity_learn,
-    path_for,
     perr_curve,
     two_peak_distribution,
 )
@@ -42,7 +41,7 @@ from .coupling import (
     rank_all,
     resolve_map,
 )
-from .paths import ConnectionPath, UnreachableQubitsError, create_path
+from .paths import ConnectionPath, UnreachableQubitsError, create_path, path_for
 from .simulator import (
     NoisySampleConfig,
     exact_distribution,

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, build_envariance
-from .coupling import CouplingMap, most_connected, rank_all
-from .paths import ConnectionPath, create_path
+from .coupling import CouplingMap
+from .paths import path_for
 from .simulator import (
     Histogram,
     NoisySampleConfig,
     draw_histogram,
-    outcome_distribution,
+    outcome_keys,
     sample,
     sample_noisy_oracle,
     spawn_seeds,
@@ -68,11 +68,6 @@ class FidelityReport:
     repetitions: int
 
 
-def path_for(cmap: CouplingMap, n: int) -> ConnectionPath:
-    """Connection path over n qubits rooted at the map's most connected qubit."""
-    return create_path(cmap, most_connected(rank_all(cmap)), n)
-
-
 def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) -> list[Histogram]:
     """One sampled histogram per repetition of an envariance circuit.
 
@@ -84,8 +79,8 @@ def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) 
         raise ValueError(f"envariance experiments need n >= 2, got {n}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
-    keys, probs = outcome_distribution(circuit)
-    return [draw_histogram(keys, probs, shots, s) for s in spawn_seeds(seed, repetitions)]
+    k, keys = outcome_keys(circuit)
+    return [draw_histogram(k, keys, shots, s) for s in spawn_seeds(seed, repetitions)]
 
 
 def b_per_repetition(histograms: list[Histogram], n: int) -> list[float]:
@@ -148,20 +143,14 @@ def circuit_oracle_crosscheck(circuit: Circuit, a_string: str, shots: int, seed)
 
     Samples a compiled parity circuit (noiseless) and the eta = 0 classical
     sampler with the circuit's effective encoded string ``a_string``, both
-    for ``shots`` draws, and compares the empirical (query, result)
-    distributions. The circuit's first measured qubit is the result qubit.
+    for ``shots`` draws, and compares the empirical distributions in the
+    circuit's key form: the first measured qubit is the result qubit, so an
+    oracle draw (0^n, 0) reads "0" + 0^n and a draw (a, 1) reads "1" + a.
+    At eta = 0 those are the only draws: the diagonal of the oracle's table.
     """
     circuit_seed, oracle_seed = spawn_seeds(seed, 2)
     histogram = sample(circuit, shots, circuit_seed)
-    circuit_dist = {f"{key[1:]}:{key[0]}": count / shots for key, count in histogram.items()}
-
     counts = sample_noisy_oracle(NoisySampleConfig(eta=0.0, a_string=a_string), shots, oracle_seed)
-    zeros = "0" * len(a_string)
-    oracle_counts: dict[str, int] = {}
-    for (carries_a, result), count in np.ndenumerate(counts):
-        key = f"{a_string if carries_a else zeros}:{result}"  # a = 0^n: both rows share one key
-        oracle_counts[key] = oracle_counts.get(key, 0) + int(count)
-    oracle_dist = {key: count / shots for key, count in oracle_counts.items() if count}
-
-    keys = circuit_dist.keys() | oracle_dist.keys()
-    return 0.5 * sum(abs(circuit_dist.get(k, 0.0) - oracle_dist.get(k, 0.0)) for k in keys)
+    oracle = {"0" * (len(a_string) + 1): int(counts[0, 0]), "1" + a_string: int(counts[1, 1])}
+    keys = histogram.keys() | oracle.keys()
+    return 0.5 * sum(abs(histogram.get(k, 0) / shots - oracle.get(k, 0) / shots) for k in keys)

@@ -11,8 +11,9 @@ build has a 2-outcome support, so ``parity --cross-check`` runs at any n.
 The argument parser is built on the first ``main`` call and reused by later
 calls in the same process. ``--reps`` lies in [1,
 ``MAX_REPS``] (one seed is spawned per repetition up front), ``--shots`` in
-[1, ``MAX_SHOTS``] (far inside numpy's 64-bit multinomial counts), and query
-counts in [1, ``MAX_QUERIES``]; all three are checked before any work.
+[1, ``MAX_SHOTS``] (far inside numpy's 64-bit multinomial counts), query
+counts in [1, ``MAX_QUERIES``], and ``--seed`` is non-negative; all four
+are checked before any work.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -32,7 +33,6 @@ from .analysis import (
     envariance_histograms,
     fidelity_report,
     frequencies,
-    path_for,
     perr_curve,
 )
 from .circuits import (
@@ -48,7 +48,7 @@ from .circuits import (
     verify_legality,
 )
 from .coupling import MapFormatError, most_connected, rank_all, resolve_map
-from .paths import UnreachableQubitsError
+from .paths import UnreachableQubitsError, path_for
 from .simulator import NoisySampleConfig
 
 CROSSCHECK_SHOTS = 100_000
@@ -192,6 +192,8 @@ def _cmd_compile(args) -> int:
 
 def _cmd_envariance(args) -> int:
     _check_count("--reps", args.reps, MAX_REPS)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     _check_count("--shots", args.shots, MAX_SHOTS)
     cmap = resolve_map(args.map)
     circuit, _, _, qasm = _compiled(cmap, "envariance", args.n, None)
@@ -223,6 +225,8 @@ def _cmd_envariance(args) -> int:
 
 def _cmd_parity(args) -> int:
     _check_count("--reps", args.reps, MAX_REPS)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if not (0.0 <= args.eta < 0.5):
         raise UsageError(f"--eta must lie in [0, 0.5), got {args.eta}")
     queries_list = parse_queries(args.queries, args.sweep, args.step)

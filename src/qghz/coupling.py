@@ -109,7 +109,7 @@ class CouplingMap:
 def load_map(document) -> CouplingMap:
     """Build a validated CouplingMap from JSON text or an already-parsed dict.
 
-    The document needs ``num_qubits`` and ``edges`` (a list of two-element
+    The document needs ``num_qubits`` and ``edges`` (an array of two-element
     [control, target] arrays); ``name`` is optional.
     """
     if isinstance(document, (str, bytes)):
@@ -117,11 +117,15 @@ def load_map(document) -> CouplingMap:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise MapFormatError(f"map document is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise MapFormatError("map document nests too deeply to parse") from None
     if not isinstance(document, dict):
         raise MapFormatError(f"map document must be a JSON object, got {type(document).__name__}")
     for field in ("num_qubits", "edges"):
         if field not in document:
             raise MapFormatError(f"map document is missing required field {field!r}")
+    if not isinstance(document["edges"], list):
+        raise MapFormatError(f"edges must be a JSON array, got {type(document['edges']).__name__}")
     return CouplingMap(
         document["num_qubits"],
         document["edges"],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import CouplingMap
+from .coupling import CouplingMap, most_connected, rank_all
 
 
 class UnreachableQubitsError(ValueError):
@@ -77,3 +77,8 @@ def create_path(cmap: CouplingMap, root: int, requested: int) -> ConnectionPath:
     if budget > 0:
         raise UnreachableQubitsError(requested, len(connected))
     return ConnectionPath(root=root, pairs=tuple(pairs), requested=requested)
+
+
+def path_for(cmap: CouplingMap, n: int) -> ConnectionPath:
+    """Connection path over n qubits rooted at the map's most connected qubit."""
+    return create_path(cmap, most_connected(rank_all(cmap)), n)

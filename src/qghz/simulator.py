@@ -4,30 +4,34 @@ Every circuit here is h/x/cnot applied to |0...0>, then measured once at
 circuit end. Such a circuit's measured outcomes are uniform over an affine
 subspace of GF(2)^k: each of its 2^r outcomes has probability exactly 2^-r
 (Dehaene and De Moor 2003; Aaronson and Gottesman 2004, "CHP").
-``outcome_distribution`` finds them without evolving 2^k amplitudes. It
-keeps only the m stabilizers of the state, stored by column as in Stim
-(Gidney 2021): one Python int per qubit for the x bits, one for the z
-bits, and one for the signs, so each gate is a few big-int operations.
-Measurement is terminal, so no destabilizer is needed: at circuit end the
-columns are transposed to rows once and the rows are eliminated on their x
-bits and unmeasured z bits. The rows that reduce to zero there are parity
-checks on the measured outcome; back-substituting them gives one base
-outcome and one flip per free bit, and the 2^r outcomes are listed from
-those. The tableau runs on a copy relabelled onto the circuit's involved
-qubits (those any gate touches, plus the measured ones), so map size costs
-nothing. Two caps apply. At most ``MAX_INVOLVED_QUBITS`` = 2048 qubits
-are involved: on a dense random tableau measured on a few qubits the
-elimination multiplies about m^2/4 row pairs, 5.6-7.6 s at 2048 qubits,
-while envariance and parity on a 2048-qubit line take at most 0.05 s
-(2-core Xeon, Python 3.11). And the support dimension r is at most
-``MAX_SUPPORT_DIMENSION`` = 20, so at most 2^20 outcomes are listed; the
-elimination stops as soon as r is certain to exceed it, so the same dense
-tableau measured on every qubit raises after 2.2-2.4 s. Repetitions draw
-from that one distribution: a multinomial over its support, which gives
-the same counts as one over all 2^k outcomes, since numpy's binomial
-draws consume no random numbers for p = 0. A statevector simulator is
-kept in ``tests/oracles.py`` as the independent reference the tests hold
-this engine to.
+``outcome_keys`` finds them without evolving 2^k amplitudes. It keeps only
+the m stabilizers of the state, stored by column as in Stim (Gidney 2021):
+one Python int per qubit for the x bits, one for the z bits, and one for
+the signs, so each gate is a few big-int operations. The columns cover
+only the circuit's involved qubits (those any gate touches, plus the
+measured ones), indexed in ascending order as the gates are read, so map
+size costs nothing. Measurement is terminal, so no destabilizer is needed:
+at circuit end the columns are transposed to rows once and the rows are
+eliminated on their x bits and unmeasured z bits. The rows that reduce to
+zero there are parity checks on the measured outcome; back-substituting
+them gives one base outcome and one flip per free bit, and the 2^r
+outcomes are listed from those as int keys. Two caps apply. At most
+``MAX_INVOLVED_QUBITS`` = 2048 qubits are involved: on a dense random
+tableau measured on a few qubits the elimination multiplies about m^2/4
+row pairs, 5.6-7.6 s at 2048 qubits, while envariance and parity on a
+2048-qubit line take at most 0.05 s (2-core Xeon, Python 3.11). And the
+support dimension r is at most ``MAX_SUPPORT_DIMENSION`` = 20, so at most
+2^20 outcomes are listed; the elimination stops as soon as r is certain to
+exceed it, so the same dense tableau measured on every qubit raises after
+2.2-2.4 s. Repetitions draw from that one distribution: a multinomial over
+its support, which gives the same counts as one over all 2^k outcomes,
+since numpy's binomial draws consume no random numbers for p = 0. The keys
+stay ints up to the draw, and only the drawn ones become k-character
+bitstrings: with H on 20 of 100 measured qubits (2^20 outcomes),
+``sample`` of 8192 shots takes 0.33-0.38 s and 116 MB peak RSS there.
+``exact_distribution`` returns every key, so it formats all of them. A
+statevector simulator is kept in ``tests/oracles.py`` as the independent
+reference the tests hold this engine to.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
@@ -52,25 +56,6 @@ MAX_INVOLVED_QUBITS = 2048
 Histogram = dict[str, int]
 
 
-def _relabel_onto_involved(circuit: Circuit) -> tuple[int, list, tuple[int, ...]]:
-    """(width, gates, measured qubits) over the involved qubits, relabelled 0..m-1 in ascending order.
-
-    The relabelled gates are plain (kind, operands) tuples; a measurement
-    keeps its classical bit. The circuit was validated when built, so
-    nothing is checked again.
-    """
-    involved = set(circuit.measured_qubits)
-    for kind, operands in circuit.gates:
-        involved.update(operands[:1] if kind == MEASURE else operands)
-    index = {q: i for i, q in enumerate(sorted(involved))}
-    gates = [
-        (MEASURE, (index[operands[0]], operands[1])) if kind == MEASURE
-        else (kind, tuple([index[q] for q in operands]))
-        for kind, operands in circuit.gates
-    ]
-    return len(index), gates, tuple([index[q] for q in circuit.measured_qubits])
-
-
 def _product(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int, int, int]:
     """Row of the Pauli product P1 * P2 of two commuting tableau rows.
 
@@ -84,28 +69,41 @@ def _product(x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> tuple[int,
     return x1 ^ x2, z1 ^ z2, r1 ^ r2 ^ ((plus - minus) >> 1 & 1)
 
 
-def _outcome_keys(width: int, gates, measured: tuple[int, ...]) -> list[int]:
-    """Every measured outcome with nonzero probability, as an int key, ascending.
+def outcome_keys(circuit: Circuit) -> tuple[int, list[int]]:
+    """(k, keys): the k measured qubits and every outcome with nonzero probability, as int keys, ascending.
 
-    ``gates`` are (kind, operands) pairs over qubits 0..width-1, and
-    ``measured`` lists the measured qubits in classical-bit order; key bit
-    k-1-p holds the p-th of the k measured qubits. The m = ``width``
-    stabilizer rows are kept by column: ``xs[q]`` and ``zs[q]`` hold qubit
-    q's x and z bits (bit i = row i) and ``signs`` bit i is row i's sign.
-    Raises ValueError when the outcomes span more than
-    ``MAX_SUPPORT_DIMENSION`` free bits.
+    Key bit k-1-p holds the p-th measured qubit, so ``format(key, f"0{k}b")``
+    is the bitstring with the first measured qubit leftmost. Each of the 2^r
+    keys has probability exactly 0.5 ** r. The tableau runs over the
+    involved qubits (gate operands plus measured qubits), indexed 0..m-1 in
+    ascending physical order. Its m stabilizer rows are kept by column:
+    ``xs[i]`` and ``zs[i]`` hold involved qubit i's x and z bits (bit j =
+    row j) and ``signs`` bit j is row j's sign. Raises ValueError when the
+    circuit measures nothing, involves more than ``MAX_INVOLVED_QUBITS``
+    qubits, or r exceeds ``MAX_SUPPORT_DIMENSION``; the first two are
+    checked before the tableau is built.
     """
-    m, k = width, len(measured)
-    xs, zs, signs = [0] * m, [1 << q for q in range(m)], 0
-    for kind, operands in gates:
+    if not circuit.measured_qubits:
+        raise ValueError("circuit declares no measured qubits")
+    involved = set(circuit.measured_qubits)
+    for kind, operands in circuit.gates:
+        involved.update(operands[:1] if kind == MEASURE else operands)
+    if len(involved) > MAX_INVOLVED_QUBITS:
+        raise ValueError(f"circuit involves {len(involved)} qubits; the simulator takes at most "
+                         f"MAX_INVOLVED_QUBITS = {MAX_INVOLVED_QUBITS}")
+    index = {q: i for i, q in enumerate(sorted(involved))}
+    measured = [index[q] for q in circuit.measured_qubits]
+    m, k = len(index), len(measured)
+    xs, zs, signs = [0] * m, [1 << i for i in range(m)], 0
+    for kind, operands in circuit.gates:
         if kind == H:
-            q = operands[0]
+            q = index[operands[0]]
             signs ^= xs[q] & zs[q]
             xs[q], zs[q] = zs[q], xs[q]
         elif kind == X:
-            signs ^= zs[operands[0]]
+            signs ^= zs[index[operands[0]]]
         elif kind == CNOT:
-            c, t = operands
+            c, t = index[operands[0]], index[operands[1]]
             signs ^= xs[c] & zs[t] & ~(xs[t] ^ zs[c])
             xs[t] ^= xs[c]
             zs[c] ^= zs[t]
@@ -157,39 +155,26 @@ def _outcome_keys(width: int, gates, measured: tuple[int, ...]) -> list[int]:
     keys = [base]
     for flip in flips:
         keys = [key ^ f for key in keys for f in (0, flip)]
-    return keys
-
-
-def outcome_distribution(circuit: Circuit) -> tuple[list[str], np.ndarray]:
-    """(keys, probabilities) of the measured outcomes with nonzero probability.
-
-    Keys are bitstrings in classical-bit order (first measured qubit
-    leftmost), ascending; each of the 2^r keys has probability exactly
-    0.5 ** r. Raises ValueError when the circuit involves more than
-    ``MAX_INVOLVED_QUBITS`` qubits or r exceeds ``MAX_SUPPORT_DIMENSION``.
-    """
-    if not circuit.measured_qubits:
-        raise ValueError("circuit declares no measured qubits")
-    width, gates, measured = _relabel_onto_involved(circuit)
-    if width > MAX_INVOLVED_QUBITS:
-        raise ValueError(f"circuit involves {width} qubits; the simulator takes at most "
-                         f"MAX_INVOLVED_QUBITS = {MAX_INVOLVED_QUBITS}")
-    keys = _outcome_keys(width, gates, measured)
-    return [format(key, f"0{len(measured)}b") for key in keys], np.full(len(keys), 1 / len(keys))
+    return k, keys
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact outcome probabilities over the measured qubits (zeros dropped)."""
-    keys, probs = outcome_distribution(circuit)
-    return {key: float(p) for key, p in zip(keys, probs)}
+    """Exact outcome probabilities over the measured qubits (zeros dropped), keyed by bitstring, ascending."""
+    k, keys = outcome_keys(circuit)
+    p = 1 / len(keys)
+    return {format(key, f"0{k}b"): p for key in keys}
 
 
-def draw_histogram(keys: list[str], probs: np.ndarray, shots: int, seed) -> Histogram:
-    """Histogram of ``shots`` draws from an outcome distribution; only observed keys appear."""
+def draw_histogram(k: int, keys: list[int], shots: int, seed) -> Histogram:
+    """Histogram of ``shots`` draws from the uniform distribution over ``outcome_keys``'s (k, keys).
+
+    Only drawn keys appear, and only they are formatted as k-bit strings.
+    """
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, probs)
-    return {key: int(c) for key, c in zip(keys, counts) if c > 0}
+    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, np.full(len(keys), 1 / len(keys)))
+    spec = f"0{k}b"
+    return {format(keys[i], spec): int(counts[i]) for i in counts.nonzero()[0].tolist()}
 
 
 def sample(circuit: Circuit, shots: int, seed) -> Histogram:
@@ -198,8 +183,8 @@ def sample(circuit: Circuit, shots: int, seed) -> Histogram:
     Keys are bitstrings in classical-bit order (first measured qubit
     leftmost); only observed outcomes appear. Deterministic given the seed.
     """
-    keys, probs = outcome_distribution(circuit)
-    return draw_histogram(keys, probs, shots, seed)
+    k, keys = outcome_keys(circuit)
+    return draw_histogram(k, keys, shots, seed)
 
 
 @dataclass(frozen=True)

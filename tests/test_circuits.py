@@ -34,7 +34,7 @@ from qghz.circuits import (
 )
 from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
 from qghz.paths import ConnectionPath, create_path
-from qghz.simulator import outcome_distribution
+from qghz.simulator import exact_distribution
 
 BELL_MAP = CouplingMap(2, [(0, 1)])
 BELL_PATH = ConnectionPath(root=0, pairs=((1, 0),), requested=2)
@@ -363,5 +363,5 @@ def test_compiled_circuits_are_legal_and_compute_their_closed_forms(compiled):
     # Every correct compile has support dimension 1, so a cap of 1 makes a
     # wrong one raise at once instead of listing up to 2^20 long keys.
     with mock.patch.object(simulator, "MAX_SUPPORT_DIMENSION", 1):
-        keys, probs = outcome_distribution(circuit)
-    assert keys == expected and probs.tolist() == [0.5, 0.5]
+        distribution = exact_distribution(circuit)
+    assert list(distribution.items()) == [(key, 0.5) for key in expected]

@@ -225,8 +225,8 @@ class TestParity:
 
     def test_cross_check_ranks_the_map_once(self, tmp_path, monkeypatch):
         calls = []
-        rank_all = qghz.analysis.rank_all
-        monkeypatch.setattr(qghz.analysis, "rank_all", lambda cmap: calls.append(cmap.name) or rank_all(cmap))
+        rank_all = qghz.paths.rank_all
+        monkeypatch.setattr(qghz.paths, "rank_all", lambda cmap: calls.append(cmap.name) or rank_all(cmap))
         assert run_cli(
             "parity", "--map", "qx5", "-n", "4", "--pattern", "10", "--queries", "4",
             "--reps", "10", "--cross-check", "--out", str(tmp_path / "parity"),
@@ -301,7 +301,7 @@ class TestParseQueries:
 
 
 class TestRunBounds:
-    """--reps and --shots are checked before the map is even loaded."""
+    """--reps, --shots and --seed are checked before the map is even loaded."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -324,6 +324,16 @@ class TestRunBounds:
         assert run_cli(*command, "--reps", str(reps), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err == f"error: --reps must lie in [1, {MAX_REPS}], got {reps}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["envariance", "--map", "qx5", "-n", "3"],
+        ["parity", "--map", "qx5", "-n", "3", "--pattern", "11", "--queries", "4", "--cross-check"],
+    ])
+    def test_negative_seed_is_one_error_line(self, command, no_work, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(*command, "--seed", "-1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("over", [False, True])
@@ -368,21 +378,33 @@ class TestSharedParser:
         assert "cross_check_tv" not in read_json(tmp_path / "b" / "results.json")
 
 
-def test_oversized_map_is_one_error_line(tmp_path):
-    from qghz.coupling import MAX_MAP_QUBITS
-
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"num_qubits": MAX_MAP_QUBITS + 1, "edges": []}))
+def rank_in_subprocess(map_text: str, tmp_path) -> subprocess.CompletedProcess:
+    """``qghz rank`` on a map file holding ``map_text``, run as its own process."""
+    path = tmp_path / "map.json"
+    path.write_text(map_text)
     # The child imports the same qghz as this process, installed or not.
     src = str(Path(qghz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "qghz.cli", "rank", "--map", str(path)],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_oversized_map_is_one_error_line(tmp_path):
+    from qghz.coupling import MAX_MAP_QUBITS
+
+    result = rank_in_subprocess(json.dumps({"num_qubits": MAX_MAP_QUBITS + 1, "edges": []}), tmp_path)
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: num_qubits") and result.stderr.count("\n") == 1
+
+
+def test_deeply_nested_map_is_one_error_line(tmp_path):
+    result = rank_in_subprocess("[" * 100_000, tmp_path)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: map document nests too deeply") and result.stderr.count("\n") == 1
 
 
 class TestWideMap:

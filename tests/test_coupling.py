@@ -75,6 +75,16 @@ class TestLoadMap:
         with pytest.raises(MapFormatError, match=r"edges\[0\].*integers"):
             load_map('{"num_qubits": 3, "edges": [[true, 2]]}')
 
+    @pytest.mark.parametrize("edges", ["null", "5", '""', '{"01": 1}'])
+    def test_edges_must_be_an_array(self, edges):
+        with pytest.raises(MapFormatError, match="edges must be a JSON array"):
+            load_map(f'{{"num_qubits": 2, "edges": {edges}}}')
+
+    @pytest.mark.parametrize("document", ["[" * 100_000, '{"num_qubits": 2, "edges": ' + "[" * 100_000])
+    def test_deep_nesting_rejected(self, document):
+        with pytest.raises(MapFormatError, match="nests too deeply"):
+            load_map(document)
+
 
 class TestBundledMaps:
     def test_qx4_matches_transcription(self):

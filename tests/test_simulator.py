@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +21,7 @@ from test_coupling import cycle_grid_edges
 from qghz import simulator
 from qghz.analysis import envariance_histograms, path_for
 from qghz.circuits import (
-    MEASURE,
     Circuit,
-    Gate,
     OraclePattern,
     build_envariance,
     build_ghz,
@@ -36,11 +36,9 @@ from qghz.circuits import (
 from qghz.coupling import CouplingMap, bundled_map, line_map
 from qghz.paths import create_path
 from qghz.simulator import (
-    MAX_INVOLVED_QUBITS,
     MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
     exact_distribution,
-    outcome_distribution,
     sample,
     sample_noisy_oracle,
     spawn_seeds,
@@ -267,29 +265,15 @@ class TestSamplingMatchesFullWidthReference:
             assert sample(circuit, 4096, 5) == reference_sample(circuit, 4096, 5, loops=True)
 
     def test_simulates_involved_qubits_only(self, monkeypatch):
-        simulated = []
-        outcome_keys = simulator._outcome_keys
-
-        def recording(width, gates, measured):
-            simulated.append((width, gates, measured))
-            return outcome_keys(width, gates, measured)
-
-        monkeypatch.setattr(simulator, "_outcome_keys", recording)
+        # Envariance over qubits 22, 23, 24 of a 25-qubit line involves 3
+        # qubits, whatever the map's width.
         cmap = line_map(25)
         circuit = build_envariance(cmap, create_path(cmap, 24, 3))
-        assert set(sample(circuit, 1000, seed=1)) <= {"000", "111"}
-        [(width, gates, measured)] = simulated
-        # Qubits 22, 23, 24 become 0, 1, 2 in the same order; gates and
-        # classical bits are otherwise unchanged.
-        assert width == 3
-        assert measured == (2, 1, 0)
-        physical = (22, 23, 24)
-        restored = tuple(
-            Gate(kind, (physical[operands[0]], operands[1]) if kind == MEASURE
-                 else tuple(physical[q] for q in operands))
-            for kind, operands in gates
-        )
-        assert restored == circuit.gates
+        monkeypatch.setattr(simulator, "MAX_INVOLVED_QUBITS", 3)
+        assert set(sample(circuit, 1000, seed=1)) == {"000", "111"}
+        monkeypatch.setattr(simulator, "MAX_INVOLVED_QUBITS", 2)
+        with pytest.raises(ValueError, match="circuit involves 3 qubits"):
+            sample(circuit, 1000, seed=1)
 
     def test_involved_width_is_capped(self):
         # Each H qubit adds one random outcome: 21 of them would list 2^21 keys.
@@ -319,22 +303,25 @@ class TestSamplingMatchesFullWidthReference:
             if rng.random() < 0.5:
                 gates.append(h(int(rng.integers(width))))
         with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION = 20"):
-            outcome_distribution(with_measurements(Circuit(width, tuple(gates)), range(width)))
+            exact_distribution(with_measurements(Circuit(width, tuple(gates)), range(width)))
         stopped = len(calls)
         calls.clear()
-        keys, _ = outcome_distribution(with_measurements(Circuit(width, tuple(gates)), range(12)))
-        assert len(keys) == 1 << 12
+        assert len(exact_distribution(with_measurements(Circuit(width, tuple(gates)), range(12)))) == 1 << 12
         assert 0 < stopped < len(calls) // 20
 
-    def test_involved_qubits_are_capped_before_the_tableau(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the tableau was built for a circuit over the limit")
-
-        monkeypatch.setattr(simulator, "_outcome_keys", fail)
-        width = MAX_INVOLVED_QUBITS + 1
+    def test_involved_qubits_are_capped_before_the_tableau(self):
+        # One zs column per involved qubit, column i holding bit i: at
+        # 100000 qubits the columns alone would take about 600 MB.
+        width = 100_000
         circuit = Circuit(width, (), measured_qubits=tuple(range(width)))
-        with pytest.raises(ValueError, match="MAX_INVOLVED_QUBITS"):
-            outcome_distribution(circuit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"involves {width} qubits.*MAX_INVOLVED_QUBITS"):
+                exact_distribution(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
 
 
 CLOSED_FORM_PATHS = ["qx5", "line300", "line1108", "grid784"]
@@ -365,18 +352,16 @@ class TestClosedFormsAtWidth:
         cmap, path = placed_path(name)
         n = len(path.involved())
         for circuit in (with_measurements(build_ghz(cmap, path), path.involved()), build_envariance(cmap, path)):
-            keys, probs = outcome_distribution(circuit)
-            assert keys == ["0" * n, "1" * n]
-            assert probs.tolist() == [0.5, 0.5]
+            assert list(exact_distribution(circuit).items()) == [("0" * n, 0.5), ("1" * n, 0.5)]
 
     @pytest.mark.parametrize("name", CLOSED_FORM_PATHS)
     def test_parity_gives_zeros_or_result_one_with_a(self, name):
         # The result bit is leftmost: on qx5, pattern 10 gives ["000000", "111100"].
         cmap, path = placed_path(name)
         for pattern in OraclePattern:
-            keys, probs = outcome_distribution(build_parity(cmap, path, pattern))
-            assert keys == ["0" * len(path.involved()), "1" + effective_a(path, pattern)]
-            assert probs.tolist() == [0.5, 0.5]
+            distribution = exact_distribution(build_parity(cmap, path, pattern))
+            assert list(distribution.items()) == [("0" * len(path.involved()), 0.5),
+                                                  ("1" + effective_a(path, pattern), 0.5)]
 
 
 @st.composite
@@ -404,13 +389,13 @@ class TestTableauMatchesStatevector:
     @example(with_measurements(Circuit(2, (cnot(0, 1), h(0), cnot(0, 1))), (0, 1)))
     @settings(max_examples=300, deadline=None)
     def test_random_circuits(self, circuit):
-        keys, probs = outcome_distribution(circuit)
+        distribution = exact_distribution(circuit)
         reference = reference_distribution(circuit)
-        assert keys == list(reference)
-        r = len(keys).bit_length() - 1
-        assert len(keys) == 1 << r
-        assert np.all(probs == 0.5**r)
-        np.testing.assert_allclose(list(reference.values()), probs, rtol=0, atol=1e-12)
+        assert list(distribution) == list(reference)
+        r = len(distribution).bit_length() - 1
+        assert len(distribution) == 1 << r
+        assert all(p == 0.5**r for p in distribution.values())
+        np.testing.assert_allclose(list(reference.values()), list(distribution.values()), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("map_name", ["qx4", "qx5"])
     def test_every_protocol_circuit(self, map_name):
@@ -419,10 +404,7 @@ class TestTableauMatchesStatevector:
         circuits += [build_parity(cmap, path_for(cmap, n + 1), pattern)
                      for n in range(1, cmap.num_qubits) for pattern in OraclePattern]
         for circuit in circuits:
-            keys, probs = outcome_distribution(circuit)
-            reference = reference_distribution(circuit)
-            assert keys == list(reference)
-            assert probs.tolist() == list(reference.values())
+            assert list(exact_distribution(circuit).items()) == list(reference_distribution(circuit).items())
 
 
 class TestNoisyOracle:
