@@ -15,8 +15,17 @@ result-1 samples, probability 2^-N.
 Every kept query is either 0^n or a, so two counts decide the vote: each
 bit where a is 1 gets the votes of the kept a queries, each bit where a is
 0 gets none. The vote equals a iff a = 0^n or the kept a queries are a
-strict majority of the kept queries; the learner reads both counts from
-the oracle's count table and never builds the strings.
+strict majority of the kept queries. A query is kept iff it carries a
+xor it is noisy, so the kept a queries are the carrying, noiseless ones and
+the kept 0^n queries the noisy, non-carrying ones; their difference is
+(queries carrying a) - (noisy queries), since the queries that are both
+cancel. So a repetition fails iff a != 0^n and at most as many of its
+queries carry a as are noisy. The learner never builds the strings or a
+count table: it spawns the repetitions' seeds a bounded block at a time
+(the same children as one ``spawn`` of them all), fills one row of raw
+PCG64 outputs per seed, decodes the block with
+``simulator.decode_oracle_draws`` and counts both flags per row in one
+numpy pass.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ from .paths import path_for
 from .simulator import (
     Histogram,
     NoisySampleConfig,
+    decode_oracle_draws,
     draw_histogram,
+    oracle_draw_length,
     outcome_keys,
     sample,
     sample_noisy_oracle,
@@ -40,6 +51,11 @@ from .simulator import (
 )
 
 Distribution = dict[str, float]
+# parity_learn holds at most this many spawned seeds (about 376 B each) and
+# this many raw outputs (8 B each) at once; a single repetition may exceed
+# the second.
+BLOCK_SEEDS = 256
+BLOCK_OUTPUTS = 1 << 16
 
 
 def two_peak_distribution(n: int) -> Distribution:
@@ -112,15 +128,28 @@ class LearningOutcome:
 
 
 def parity_learn(config: NoisySampleConfig, queries: int, repetitions: int, seed) -> LearningOutcome:
-    """Failure fraction of the postselect-and-vote learner over ``repetitions`` runs."""
+    """Failure fraction of the postselect-and-vote learner over ``repetitions`` runs.
+
+    Repetition i draws the oracle with ``spawn_seeds(seed, repetitions)[i]``,
+    as ``sample_noisy_oracle`` would; a SeedSequence ``seed`` spawns exactly
+    ``repetitions`` children.
+    """
     if queries < 1 or repetitions < 1:
         raise ValueError("queries and repetitions must be positive")
-    learnable = "1" in config.a_string  # a = 0^n: the all-zero vote never misses
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    length = oracle_draw_length(queries)
+    block = max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // length))
     failures = 0
-    for child in spawn_seeds(seed, repetitions):
-        counts = sample_noisy_oracle(config, queries, child)
-        if learnable and 2 * counts[1, 1] <= counts[0, 1] + counts[1, 1]:
-            failures += 1
+    for start in range(0, repetitions, block):
+        children = root.spawn(min(block, repetitions - start))
+        raw = np.empty((len(children), length), dtype=np.uint64)
+        for row, child in zip(raw, children):
+            row[:] = np.random.PCG64(child).random_raw(length)
+        noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
+        # kept a queries - kept 0^n queries = carrying queries - noisy queries
+        failures += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
+    if "1" not in config.a_string:  # a = 0^n: the all-zero vote never misses
+        failures = 0
     return LearningOutcome(
         p_err=failures / repetitions,
         queries=queries,

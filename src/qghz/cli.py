@@ -10,7 +10,8 @@ no files. The simulator caps the support dimension of the measured outcomes
 build has a 2-outcome support, so ``parity --cross-check`` runs at any n.
 The argument parser is built on the first ``main`` call and reused by later
 calls in the same process. ``--reps`` lies in [1,
-``MAX_REPS``] (one seed is spawned per repetition up front), ``--shots`` in
+``MAX_REPS``] (the learner spawns the repetitions' seeds a bounded block
+at a time, so memory does not grow with it), ``--shots`` in
 [1, ``MAX_SHOTS``] (far inside numpy's 64-bit multinomial counts), query
 counts in [1, ``MAX_QUERIES``], and ``--seed`` is non-negative; all four
 are checked before any work.
@@ -111,7 +112,10 @@ def parse_queries(spec: str, sweep: str, step: int) -> list[int]:
         raise UsageError(f"--step must be at least 1, got {step}")
     spec = spec.strip()
     is_range = ":" in spec
-    values = [int(tok) for tok in (spec.split(":", 1) if is_range else spec.split(","))]
+    try:
+        values = [int(tok) for tok in (spec.split(":", 1) if is_range else spec.split(","))]
+    except ValueError:
+        raise UsageError(f"--queries takes integer counts as 'N', 'N,M,...' or 'START:END', got {spec!r}") from None
     if max(values) > MAX_QUERIES:
         raise UsageError(f"query counts must be at most {MAX_QUERIES}: {spec!r}")
     if not is_range:

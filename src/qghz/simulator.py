@@ -35,11 +35,26 @@ reference the tests hold this engine to.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
-integer seed. Derived per-repetition seeds use SeedSequence.spawn.
+integer seed. Derived per-repetition seeds use SeedSequence.spawn. The
+noisy parity oracle reads raw PCG64 outputs (``random_raw``) instead of a
+Generator: a draw of q queries reads ``oracle_draw_length(q)`` = q + ceil(q/2)
+64-bit outputs. Output i < q makes query i noisy iff it is below
+ceil(eta * 2^53) << 11, which is exactly ``Generator.random() < eta``
+(``random`` keeps the top 53 bits). The next ceil(q/2) outputs, split into
+32-bit halves with the low half first, give query i's carry bit as the top
+bit of half i, which is exactly ``Generator.integers(0, 2, dtype=int64)``:
+that draws 32-bit halves low half first, and Lemire's method never rejects
+for a range of 2 (O'Neill 2014, "PCG"; Lemire 2019). So one raw row per seed
+replaces a Generator and two draws, and a whole block of rows decodes in one
+numpy pass. The equivalence rests on numpy keeping PCG64, SeedSequence and
+those two Generator methods stream-compatible (NEP 19); the hypothesis
+property in ``tests/test_simulator.py`` holds the decode to the Generator
+draws, so a numpy upgrade that changes either stream fails it by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +216,26 @@ class NoisySampleConfig:
             raise ValueError(f"a_string must be a nonempty string of 0/1, got {self.a_string!r}")
 
 
+def oracle_draw_length(queries: int) -> int:
+    """Raw PCG64 outputs one oracle draw of ``queries`` queries reads: a noise word per query, a carry word per two."""
+    return queries + (queries + 1) // 2
+
+
+def decode_oracle_draws(raw: np.ndarray, queries: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(noisy, carries_a): bool flags of each query, decoded from ``oracle_draw_length(queries)`` raw outputs.
+
+    ``raw`` holds uint64 PCG64 outputs along its last axis; any leading axes
+    (one row per repetition) carry through. Query i is noisy iff output i is
+    below ceil(eta * 2^53) << 11, and carries a iff the top bit of 32-bit
+    half i of the outputs after the first ``queries`` is set, low half
+    first.
+    """
+    noisy = raw[..., :queries] < math.ceil(eta * 2**53) << 11
+    # Little-endian words viewed as little-endian halves put the low half first on any host.
+    halves = raw[..., queries:].astype("<u8", copy=False).view("<u4")[..., :queries]
+    return noisy, halves >= 1 << 31
+
+
 def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> np.ndarray:
     """Counts of ``queries`` draws from the noisy oracle mixture, as a 2x2 int table.
 
@@ -209,13 +244,13 @@ def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> np.nda
     1 - eta, one of (0^n, 0) or (a, 1) with equal odds; with probability
     eta one of (0^n, 1) or (a, 0) with equal odds. So the result bit is
     uniform regardless of eta, and among result-1 draws the query equals a
-    with probability 1 - eta.
+    with probability 1 - eta. The draws are ``decode_oracle_draws`` of the
+    seed's first ``oracle_draw_length(queries)`` raw PCG64 outputs.
     """
     if queries <= 0:
         raise ValueError(f"queries must be positive, got {queries}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noisy = rng.random(queries) < config.eta
-    carries_a = rng.integers(0, 2, size=queries, dtype=np.int64)
+    raw = np.random.PCG64(seed).random_raw(oracle_draw_length(queries))
+    noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
     return np.bincount(2 * carries_a + (carries_a ^ noisy), minlength=4).reshape(2, 2)
 
 

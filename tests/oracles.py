@@ -8,9 +8,11 @@ with rational arithmetic, gate action from dense Kronecker-product
 unitaries, and outcome distributions from a statevector simulator. The
 element-wise loop kernels restate the numpy kernels' arithmetic one
 amplitude at a time, so the kernels can be held to them bit for bit. The
-parity oracle, its learner (with a literal bitwise majority vote) and the
-circuit cross-check are restated one Python sample at a time, so the
-package's count table can be held to them exactly.
+parity oracle is drawn through a numpy Generator (``random`` for the noise,
+``integers`` for the carries) where the package decodes raw PCG64 outputs,
+and its learner (with a literal bitwise majority vote) and the circuit
+cross-check are restated one Python sample at a time, so the package's
+count table and block learner can be held to them exactly.
 """
 
 from __future__ import annotations
@@ -338,16 +340,28 @@ def total_variation(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-def reference_oracle_samples(eta: float, a_string: str, queries: int, seed) -> list[tuple[str, int]]:
-    """The noisy parity oracle's draws as one (query, result) tuple each.
-
-    Makes the package sampler's two draws in its order (noise flags, then
-    which queries carry a) and spells every sample out: query a or 0^n,
-    result = carries_a XOR noise flag.
-    """
+def _generator_oracle_draws(eta: float, queries: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(noisy, carries_a) drawn through a numpy Generator, as the package sampler once did:
+    noise flags from ``random``, then which queries carry a from ``integers``."""
     rng = np.random.Generator(np.random.PCG64(seed))
     noisy = rng.random(queries) < eta
     carries_a = rng.integers(0, 2, size=queries, dtype=np.int64)
+    return noisy, carries_a
+
+
+def reference_oracle_counts(eta: float, queries: int, seed) -> np.ndarray:
+    """The noisy parity oracle's 2x2 count table [carries a, result] from the Generator draws."""
+    noisy, carries_a = _generator_oracle_draws(eta, queries, seed)
+    return np.bincount(2 * carries_a + (carries_a ^ noisy), minlength=4).reshape(2, 2)
+
+
+def reference_oracle_samples(eta: float, a_string: str, queries: int, seed) -> list[tuple[str, int]]:
+    """The noisy parity oracle's draws as one (query, result) tuple each.
+
+    Spells every Generator draw out: query a or 0^n, result = carries_a XOR
+    noise flag.
+    """
+    noisy, carries_a = _generator_oracle_draws(eta, queries, seed)
     zeros = "0" * len(a_string)
     return [(a_string if bit else zeros, int(bit) ^ int(flip)) for flip, bit in zip(noisy, carries_a)]
 
@@ -373,12 +387,15 @@ def majority_vote(samples, n: int) -> str:
 def reference_parity_perr(eta: float, a_string: str, queries: int, repetitions: int, seed) -> float:
     """Failure fraction of the literal learner, one sample list per repetition.
 
-    Each repetition redraws the oracle's samples with its own spawned seed,
-    keeps the queries with result 1, takes their bitwise majority vote (ties
-    and no kept queries give 0 bits) and fails when the vote is not a.
+    Each repetition redraws the oracle's samples through a Generator seeded
+    with its own child of ``seed`` (spawned from ``seed`` itself when it is
+    a SeedSequence), keeps the queries with result 1, takes their bitwise
+    majority vote (ties and no kept queries give 0 bits) and fails when the
+    vote is not a.
     """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     failures = 0
-    for child in np.random.SeedSequence(seed).spawn(repetitions):
+    for child in root.spawn(repetitions):
         kept = [q for q, r in reference_oracle_samples(eta, a_string, queries, child) if r == 1]
         failures += majority_vote(kept, len(a_string)) != a_string
     return failures / repetitions

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,19 @@ class TestParityLearn:
                 for seed in (0, 1, 12):
                     outcome = parity_learn(config, queries, repetitions=20, seed=seed)
                     assert outcome.p_err == reference_parity_perr(eta, a_string, queries, 20, seed)
+
+    def test_memory_does_not_grow_with_repetitions(self):
+        # Seeds are spawned a bounded block at a time; spawning all 10000 at
+        # once peaks at 3.6 MB of SeedSequence objects (about 376 B each).
+        config = NoisySampleConfig(eta=0.1, a_string="11")
+        parity_learn(config, 1, 300, seed=3)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            parity_learn(config, 1, 10_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_rejects_bad_counts(self):
         config = NoisySampleConfig(eta=0.0, a_string="1")

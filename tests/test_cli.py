@@ -291,6 +291,15 @@ class TestParseQueries:
         assert err.startswith("error: query counts must be at most") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["1:2:3", "", "x", "1,,2"])
+    def test_malformed_spec_is_one_error_line(self, spec, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli("parity", "--map", "qx4", "-n", "2", "--pattern", "11", "--queries", spec, "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --queries takes integer counts as 'N', 'N,M,...' or 'START:END', got {spec!r}\n"
+        assert not out.exists()
+
     def test_rejects_bad_ranges(self):
         from qghz.cli import UsageError
 

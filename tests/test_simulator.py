@@ -12,14 +12,16 @@ from oracles import (
     binomial_4sigma,
     loop_run_exact,
     reference_distribution,
+    reference_oracle_counts,
     reference_oracle_samples,
+    reference_parity_perr,
     reference_sample,
     run_exact,
     zero_state,
 )
 from test_coupling import cycle_grid_edges
 from qghz import simulator
-from qghz.analysis import envariance_histograms, path_for
+from qghz.analysis import BLOCK_OUTPUTS, BLOCK_SEEDS, envariance_histograms, parity_learn, path_for
 from qghz.circuits import (
     Circuit,
     OraclePattern,
@@ -39,6 +41,7 @@ from qghz.simulator import (
     MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
     exact_distribution,
+    oracle_draw_length,
     sample,
     sample_noisy_oracle,
     spawn_seeds,
@@ -469,6 +472,54 @@ class TestNoisyOracle:
     def test_rejects_non_positive_queries(self):
         with pytest.raises(ValueError):
             sample_noisy_oracle(NoisySampleConfig(eta=0.0, a_string="1"), 0, seed=0)
+
+
+# Seeds as the package receives them: an int up to 2^64, or a SeedSequence at
+# spawn depth 0-2 that may already have spawned children. Spawning changes a
+# SeedSequence, so the property draws a spec and hands each side a fresh copy.
+oracle_seed_specs = st.one_of(
+    st.integers(0, 2**64),
+    st.tuples(st.integers(0, 2**64), st.lists(st.integers(0, 2**32 - 1), max_size=2).map(tuple),
+              st.integers(0, 5)),
+)
+
+
+def fresh_seed(spec):
+    if isinstance(spec, int):
+        return spec
+    entropy, spawn_key, spawned = spec
+    return np.random.SeedSequence(entropy, spawn_key=spawn_key, n_children_spawned=spawned)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=oracle_seed_specs, queries=st.integers(1, 3000), blocks=st.integers(0, 2), offset=st.integers(-2, 2),
+       eta=st.one_of(st.sampled_from([0.0, 2.0**-60, float(np.nextafter(0.5, 0))]),
+                     st.floats(0, 0.5, exclude_max=True)),
+       eta_on_draw=st.booleans(), a_string=st.text("01", min_size=1, max_size=6))
+# Seed 5097's first raw output has its low 11 bits clear, so with eta on that
+# draw the output equals the noise threshold exactly.
+@example(seed=5097, queries=1, blocks=0, offset=1, eta=0.0, eta_on_draw=True, a_string="1")
+def test_raw_oracle_draws_match_the_generator(seed, queries, blocks, offset, eta, eta_on_draw, a_string):
+    """The raw-output decode equals numpy's Generator draws, table and learner alike.
+
+    If a numpy upgrade changes PCG64, SeedSequence, ``Generator.random`` or
+    ``Generator.integers``, this fails. ``eta_on_draw`` puts eta exactly on
+    the table's first noise draw, where ``random() < eta`` is false. The
+    repetitions land within two of 0, 1 or 2 whole learner blocks.
+    """
+    first = int(np.random.PCG64(fresh_seed(seed)).random_raw(1)[0])
+    if eta_on_draw and first < 1 << 63:
+        eta = (first >> 11) * 2.0**-53
+    config = NoisySampleConfig(eta=eta, a_string=a_string)
+    assert np.array_equal(sample_noisy_oracle(config, queries, fresh_seed(seed)),
+                          reference_oracle_counts(eta, queries, fresh_seed(seed)))
+    block = max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // oracle_draw_length(queries)))
+    repetitions = max(1, blocks * block + offset)
+    root = fresh_seed(seed)
+    outcome = parity_learn(config, queries, repetitions, root)
+    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, repetitions, fresh_seed(seed))
+    if not isinstance(seed, int):
+        assert root.n_children_spawned == seed[2] + repetitions
 
 
 def test_spawn_seeds_deterministic_and_distinct():
