@@ -25,7 +25,8 @@ count table: it spawns the repetitions' seeds a bounded block at a time
 (the same children as one ``spawn`` of them all), fills one row of raw
 PCG64 outputs per seed, decodes the block with
 ``simulator.decode_oracle_draws`` and counts both flags per row in one
-numpy pass.
+numpy pass. For a = 0^n it only spawns the repetitions' seeds and draws
+nothing, since no repetition can fail.
 """
 
 from __future__ import annotations
@@ -127,29 +128,38 @@ class LearningOutcome:
     effective_a: str
 
 
+def _spawn_blocks(root: np.random.SeedSequence, count: int, block: int):
+    """Yield ``root``'s next ``count`` children, at most ``block`` at a time."""
+    for start in range(0, count, block):
+        yield root.spawn(min(block, count - start))
+
+
 def parity_learn(config: NoisySampleConfig, queries: int, repetitions: int, seed) -> LearningOutcome:
     """Failure fraction of the postselect-and-vote learner over ``repetitions`` runs.
 
     Repetition i draws the oracle with ``spawn_seeds(seed, repetitions)[i]``,
     as ``sample_noisy_oracle`` would; a SeedSequence ``seed`` spawns exactly
-    ``repetitions`` children.
+    ``repetitions`` children. For a = 0^n p_err is 0: the children are only
+    spawned, and nothing is drawn.
     """
     if queries < 1 or repetitions < 1:
         raise ValueError("queries and repetitions must be positive")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    length = oracle_draw_length(queries)
-    block = max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // length))
     failures = 0
-    for start in range(0, repetitions, block):
-        children = root.spawn(min(block, repetitions - start))
-        raw = np.empty((len(children), length), dtype=np.uint64)
-        for row, child in zip(raw, children):
-            row[:] = np.random.PCG64(child).random_raw(length)
-        noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
-        # kept a queries - kept 0^n queries = carrying queries - noisy queries
-        failures += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
-    if "1" not in config.a_string:  # a = 0^n: the all-zero vote never misses
-        failures = 0
+    if "1" not in config.a_string:
+        # a = 0^n: the all-zero vote never misses, so nothing is drawn; the
+        # children are still spawned, so a SeedSequence seed advances alike.
+        for _ in _spawn_blocks(root, repetitions, BLOCK_SEEDS):
+            pass
+    else:
+        length = oracle_draw_length(queries)
+        for children in _spawn_blocks(root, repetitions, max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // length))):
+            raw = np.empty((len(children), length), dtype=np.uint64)
+            for row, child in zip(raw, children):
+                row[:] = np.random.PCG64(child).random_raw(length)
+            noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
+            # kept a queries - kept 0^n queries = carrying queries - noisy queries
+            failures += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
     return LearningOutcome(
         p_err=failures / repetitions,
         queries=queries,

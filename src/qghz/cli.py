@@ -156,19 +156,23 @@ def _compiled(cmap, experiment: str, n: int, pattern: str | None):
         if pattern is None:
             raise UsageError("parity circuits need --pattern {00,10,11}")
         if n < 1:
-            raise UsageError("parity circuits need at least one query qubit")
+            raise UsageError(f"parity circuits need at least one query qubit, got -n {n}")
         if n + 1 > cmap.num_qubits:
             raise UsageError(f"parity with n = {n} needs n + 1 = {n + 1} qubits (the query qubits plus the "
                              f"result qubit); map {cmap.name} has {cmap.num_qubits}")
         path = path_for(cmap, n + 1)
         oracle = OraclePattern(pattern)
         circuit, a_string = build_parity(cmap, path, oracle), effective_a(path, oracle)
-    elif experiment == "ghz":
-        path = path_for(cmap, n)
-        circuit = measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), path.involved())
     else:
+        if n < 1:
+            raise UsageError(f"{experiment} circuits need at least one qubit, got -n {n}")
+        if n > cmap.num_qubits:
+            raise UsageError(f"{experiment} with -n {n} needs {n} qubits; map {cmap.name} has {cmap.num_qubits}")
         path = path_for(cmap, n)
-        circuit = build_envariance(cmap, path)
+        if experiment == "ghz":
+            circuit = measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), path.involved())
+        else:
+            circuit = build_envariance(cmap, path)
     violations = verify_legality(cmap, circuit)
     if violations:
         raise RuntimeError("compiler produced an illegal circuit: " + "; ".join(violations))

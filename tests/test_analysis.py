@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from oracles import (
     validate_distribution,
 )
 from qghz.analysis import (
+    BLOCK_SEEDS,
     FidelityReport,
     bhattacharyya,
     circuit_oracle_crosscheck,
@@ -28,7 +30,7 @@ from qghz.analysis import (
 )
 from qghz.circuits import OraclePattern, build_parity, effective_a
 from qghz.coupling import bundled_map
-from qghz.simulator import NoisySampleConfig
+from qghz.simulator import NoisySampleConfig, spawn_seeds
 
 
 class TestBhattacharyya:
@@ -148,10 +150,12 @@ class TestParityLearn:
                     outcome = parity_learn(config, queries, repetitions=20, seed=seed)
                     assert outcome.p_err == reference_parity_perr(eta, a_string, queries, 20, seed)
 
-    def test_memory_does_not_grow_with_repetitions(self):
-        # Seeds are spawned a bounded block at a time; spawning all 10000 at
-        # once peaks at 3.6 MB of SeedSequence objects (about 376 B each).
-        config = NoisySampleConfig(eta=0.1, a_string="11")
+    @pytest.mark.parametrize("a_string", ["11", "00"])
+    def test_memory_does_not_grow_with_repetitions(self, a_string):
+        # Seeds are spawned a bounded block at a time, also for a = 0^n where
+        # nothing is drawn; spawning all 10000 at once peaks at 3.6 MB of
+        # SeedSequence objects (about 376 B each).
+        config = NoisySampleConfig(eta=0.1, a_string=a_string)
         parity_learn(config, 1, 300, seed=3)  # first-call allocations stay out of the peak
         tracemalloc.start()
         try:
@@ -160,6 +164,18 @@ class TestParityLearn:
         finally:
             tracemalloc.stop()
         assert peak < 500_000
+
+    @pytest.mark.parametrize("a_string", ["0", "000"])
+    def test_zero_a_draws_nothing_but_spawns_every_seed(self, a_string, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a = 0^n drew from PCG64")
+
+        monkeypatch.setattr(np.random, "PCG64", no_draws)
+        seed = np.random.SeedSequence(41, n_children_spawned=2)
+        reps = 2 * BLOCK_SEEDS + 3
+        outcome = parity_learn(NoisySampleConfig(eta=0.3, a_string=a_string), 7, reps, seed)
+        assert outcome.p_err == 0.0
+        assert seed.n_children_spawned == 2 + reps
 
     def test_rejects_bad_counts(self):
         config = NoisySampleConfig(eta=0.0, a_string="1")
@@ -187,6 +203,12 @@ class TestPerrCurve:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             perr_curve(NoisySampleConfig(eta=0.0, a_string="1"), [], 10, seed=0)
+
+    def test_zero_a_equals_literal_learner(self):
+        queries, reps = [1, 2, 9, 40], 30
+        outcomes = perr_curve(NoisySampleConfig(eta=0.3, a_string="000"), queries, reps, seed=6)
+        expected = [reference_parity_perr(0.3, "000", q, reps, s) for q, s in zip(queries, spawn_seeds(6, 4))]
+        assert [o.p_err for o in outcomes] == expected
 
 
 class TestFidelityExperiment:

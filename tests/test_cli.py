@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qghz
 from oracles import reparse_qasm
@@ -414,6 +419,35 @@ def test_deeply_nested_map_is_one_error_line(tmp_path):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: map document nests too deeply") and result.stderr.count("\n") == 1
+
+
+QX5_RUNS = {
+    "compile ghz": ["compile", "--experiment", "ghz"],
+    "compile envariance": ["compile", "--experiment", "envariance"],
+    "compile parity": ["compile", "--experiment", "parity", "--pattern", "11"],
+    "envariance": ["envariance", "--shots", "64", "--reps", "2"],
+    "parity": ["parity", "--pattern", "10", "--queries", "1,4", "--reps", "5"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=st.sampled_from(sorted(QX5_RUNS)), n=st.integers(-3, 40))
+def test_any_width_on_qx5_exits_zero_or_one_error_line(run, n):
+    """Every experiment on qx5 (16 qubits) at any -n runs, or fails on one line naming -n."""
+    command, *rest = QX5_RUNS[run]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run_cli(command, "--map", "qx5", "-n", str(n), *rest, "--out", str(Path(tmp) / "run"))
+    err = err.getvalue()
+    needed = n + 1 if run.endswith("parity") else n
+    if 1 <= n and needed <= 16:
+        assert code == 0 or (run == "envariance" and n == 1), err
+    if code != 0:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if n < 1 or needed > 16:
+        assert f"-n {n}" in err or f"n = {n}" in err, err
 
 
 class TestWideMap:
