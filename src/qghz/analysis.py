@@ -21,12 +21,13 @@ the kept 0^n queries the noisy, non-carrying ones; their difference is
 (queries carrying a) - (noisy queries), since the queries that are both
 cancel. So a repetition fails iff a != 0^n and at most as many of its
 queries carry a as are noisy. The learner never builds the strings or a
-count table: it spawns the repetitions' seeds a bounded block at a time
-(the same children as one ``spawn`` of them all), fills one row of raw
-PCG64 outputs per seed, decodes the block with
+count table: a bounded block of repetitions at a time, it derives their
+seeds' PCG64 seed words with ``simulator.child_seed_words`` (the same words
+as spawning those children, without spawning them), fills one row of raw
+PCG64 outputs per repetition, decodes the block with
 ``simulator.decode_oracle_draws`` and counts both flags per row in one
-numpy pass. For a = 0^n it only spawns the repetitions' seeds and draws
-nothing, since no repetition can fail.
+numpy pass. For a = 0^n it returns p_err = 0 at once, since no repetition
+can fail.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .paths import path_for
 from .simulator import (
     Histogram,
     NoisySampleConfig,
+    child_seed_words,
     decode_oracle_draws,
     draw_histogram,
     oracle_draw_length,
@@ -52,7 +54,7 @@ from .simulator import (
 )
 
 Distribution = dict[str, float]
-# parity_learn holds at most this many spawned seeds (about 376 B each) and
+# parity_learn holds at most this many rows of seed words (32 B each) and
 # this many raw outputs (8 B each) at once; a single repetition may exceed
 # the second.
 BLOCK_SEEDS = 256
@@ -128,38 +130,34 @@ class LearningOutcome:
     effective_a: str
 
 
-def _spawn_blocks(root: np.random.SeedSequence, count: int, block: int):
-    """Yield ``root``'s next ``count`` children, at most ``block`` at a time."""
-    for start in range(0, count, block):
-        yield root.spawn(min(block, count - start))
-
-
 def parity_learn(config: NoisySampleConfig, queries: int, repetitions: int, seed) -> LearningOutcome:
     """Failure fraction of the postselect-and-vote learner over ``repetitions`` runs.
 
     Repetition i draws the oracle with ``spawn_seeds(seed, repetitions)[i]``,
-    as ``sample_noisy_oracle`` would; a SeedSequence ``seed`` spawns exactly
-    ``repetitions`` children. For a = 0^n p_err is 0: the children are only
-    spawned, and nothing is drawn.
+    as ``sample_noisy_oracle`` would, but a SeedSequence ``seed`` is only
+    read: its children's seed words come from ``child_seed_words``, and
+    ``seed`` is left as it was passed. For a = 0^n p_err is 0 and nothing
+    is drawn.
     """
     if queries < 1 or repetitions < 1:
         raise ValueError("queries and repetitions must be positive")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    failures = 0
     if "1" not in config.a_string:
-        # a = 0^n: the all-zero vote never misses, so nothing is drawn; the
-        # children are still spawned, so a SeedSequence seed advances alike.
-        for _ in _spawn_blocks(root, repetitions, BLOCK_SEEDS):
-            pass
-    else:
-        length = oracle_draw_length(queries)
-        for children in _spawn_blocks(root, repetitions, max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // length))):
-            raw = np.empty((len(children), length), dtype=np.uint64)
-            for row, child in zip(raw, children):
-                row[:] = np.random.PCG64(child).random_raw(length)
-            noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
-            # kept a queries - kept 0^n queries = carrying queries - noisy queries
-            failures += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
+        # a = 0^n: the all-zero vote never misses.
+        return LearningOutcome(p_err=0.0, queries=queries, repetitions=repetitions, effective_a=config.a_string)
+    from ._seed_words import SeedWords  # loads numpy.random, which import qghz leaves out
+
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    length = oracle_draw_length(queries)
+    block = max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // length))
+    failures = 0
+    for start in range(0, repetitions, block):
+        words = child_seed_words(root, min(block, repetitions - start), start)
+        raw = np.empty((len(words), length), dtype=np.uint64)
+        for row, row_words in zip(raw, words):
+            row[:] = np.random.PCG64(SeedWords(row_words)).random_raw(length)
+        noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
+        # kept a queries - kept 0^n queries = carrying queries - noisy queries
+        failures += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
     return LearningOutcome(
         p_err=failures / repetitions,
         queries=queries,

@@ -9,12 +9,12 @@ no files. The simulator caps the support dimension of the measured outcomes
 (at most 2^20 of them), not the qubit count; every circuit these commands
 build has a 2-outcome support, so ``parity --cross-check`` runs at any n.
 The argument parser is built on the first ``main`` call and reused by later
-calls in the same process. ``--reps`` lies in [1,
-``MAX_REPS``] (the learner spawns the repetitions' seeds a bounded block
-at a time, so memory does not grow with it), ``--shots`` in
-[1, ``MAX_SHOTS``] (far inside numpy's 64-bit multinomial counts), query
-counts in [1, ``MAX_QUERIES``], and ``--seed`` is non-negative; all four
-are checked before any work.
+calls in the same process. ``--reps`` lies in [1, ``MAX_REPS``] (the
+learner holds its repetitions' seed words and raw draws a bounded block at
+a time, so memory does not grow with it), ``--shots`` in [1, ``MAX_SHOTS``]
+(far inside numpy's 64-bit multinomial counts), query counts in [1,
+``MAX_QUERIES``], ``--seed`` is non-negative and envariance's ``-n`` is at
+least 2; all five are checked before any work.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -199,6 +199,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_envariance(args) -> int:
+    if args.n < 2:
+        raise UsageError(f"envariance needs at least two qubits to compare, got -n {args.n}")
     _check_count("--reps", args.reps, MAX_REPS)
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")

@@ -35,21 +35,25 @@ reference the tests hold this engine to.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
-integer seed. Derived per-repetition seeds use SeedSequence.spawn. The
-noisy parity oracle reads raw PCG64 outputs (``random_raw``) instead of a
-Generator: a draw of q queries reads ``oracle_draw_length(q)`` = q + ceil(q/2)
-64-bit outputs. Output i < q makes query i noisy iff it is below
-ceil(eta * 2^53) << 11, which is exactly ``Generator.random() < eta``
-(``random`` keeps the top 53 bits). The next ceil(q/2) outputs, split into
+integer seed. Derived per-repetition seeds use SeedSequence.spawn, except
+in the learner, which needs only each child's PCG64 seed words:
+``child_seed_words`` derives a block of them in one numpy uint32 pass from
+the root's pool, restating numpy's SeedSequence hash (O'Neill's seed_seq
+mixing), and leaves the root as it was. The noisy parity oracle reads raw
+PCG64 outputs (``random_raw``) instead of a Generator: a draw of q queries
+reads ``oracle_draw_length(q)`` = q + ceil(q/2) 64-bit outputs. Output
+i < q makes query i noisy iff it is below ceil(eta * 2^53) << 11, which is
+exactly ``Generator.random() < eta`` (``random`` keeps the top 53 bits). The next ceil(q/2) outputs, split into
 32-bit halves with the low half first, give query i's carry bit as the top
 bit of half i, which is exactly ``Generator.integers(0, 2, dtype=int64)``:
 that draws 32-bit halves low half first, and Lemire's method never rejects
 for a range of 2 (O'Neill 2014, "PCG"; Lemire 2019). So one raw row per seed
 replaces a Generator and two draws, and a whole block of rows decodes in one
 numpy pass. The equivalence rests on numpy keeping PCG64, SeedSequence and
-those two Generator methods stream-compatible (NEP 19); the hypothesis
-property in ``tests/test_simulator.py`` holds the decode to the Generator
-draws, so a numpy upgrade that changes either stream fails it by name.
+those two Generator methods stream-compatible (NEP 19). Two hypothesis
+properties in ``tests/test_simulator.py`` hold the decode to the Generator
+draws and ``child_seed_words`` to ``spawn`` plus ``generate_state``, so a
+numpy upgrade that changes either stream or the hash fails them by name.
 """
 
 from __future__ import annotations
@@ -259,3 +263,64 @@ def spawn_seeds(seed, count: int) -> list[np.random.SeedSequence]:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return seed.spawn(count)
+
+
+# numpy's SeedSequence hash constants, named as in numpy/random/bit_generator.pyx.
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+
+
+def _entropy_words(value) -> int:
+    """32-bit words SeedSequence assembles ``value`` into: at least one per integer."""
+    if isinstance(value, np.ndarray) and value.dtype == np.uint32:
+        return value.size
+    if isinstance(value, (int, np.integer)):
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(_entropy_words(v) for v in value)
+
+
+def child_seed_words(seed: np.random.SeedSequence, count: int, start: int = 0) -> np.ndarray:
+    """(count, 4) uint64: row i is ``generate_state(4, np.uint64)`` of ``seed``'s child ``n_children_spawned + start + i``.
+
+    Equals the states of ``seed.spawn(start + count)[start:]``, but spawns
+    nothing and leaves ``seed`` as it was. A child's assembled entropy is
+    its root's (zero-padded to the pool size) followed by one word, the
+    child's index, so its pool is the root's pool with that word mixed into
+    each pool word, the hash constant continuing from where the root's
+    stopped. All ``count`` children are hashed as one uint32 column, whose
+    arithmetic wraps silently (on numpy scalars it would warn).
+    """
+    first = seed.n_children_spawned + start
+    if first + count >= 1 << 32:
+        raise ValueError("SeedSequence counts its children in a uint32; child indices must stay below 2^32 - 1")
+    pool_size = seed.pool_size
+    run_words, key_words = _entropy_words(seed.entropy), _entropy_words(seed.spawn_key)
+    if key_words:
+        run_words = max(run_words, pool_size)
+    # The root hashed each pool word once, each ordered pair of pool words
+    # once, and each entropy word past the pool once per pool word.
+    hash_const = INIT_A * pow(MULT_A, pool_size * max(pool_size, run_words + key_words), 1 << 32) % (1 << 32)
+    index = np.arange(first, first + count, dtype=np.uint32)
+    mixer = np.tile(seed.pool, (count, 1))
+    for dst in range(pool_size):
+        value = index ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_A % (1 << 32)
+        value *= np.uint32(hash_const)
+        value ^= value >> XSHIFT
+        mixed = np.uint32(MIX_MULT_L) * mixer[:, dst] - np.uint32(MIX_MULT_R) * value
+        mixer[:, dst] = mixed ^ mixed >> XSHIFT
+    # generate_state(4, uint64) hashes 8 uint32 words read cyclically from
+    # the pool and pairs them low word first.
+    state = np.empty((count, 8), dtype=np.uint32)
+    hash_const = INIT_B
+    for i in range(8):
+        value = mixer[:, i % pool_size] ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_B % (1 << 32)
+        value *= np.uint32(hash_const)
+        state[:, i] = value ^ value >> XSHIFT
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from oracles import (
     reference_parity_perr,
     validate_distribution,
 )
+import qghz
 from qghz.analysis import (
     BLOCK_SEEDS,
     FidelityReport,
@@ -28,6 +33,7 @@ from qghz.analysis import (
     perr_curve,
     two_peak_distribution,
 )
+from qghz._seed_words import SeedWords
 from qghz.circuits import OraclePattern, build_parity, effective_a
 from qghz.coupling import bundled_map
 from qghz.simulator import NoisySampleConfig, spawn_seeds
@@ -152,9 +158,9 @@ class TestParityLearn:
 
     @pytest.mark.parametrize("a_string", ["11", "00"])
     def test_memory_does_not_grow_with_repetitions(self, a_string):
-        # Seeds are spawned a bounded block at a time, also for a = 0^n where
-        # nothing is drawn; spawning all 10000 at once peaks at 3.6 MB of
-        # SeedSequence objects (about 376 B each).
+        # Seed words and raw outputs are held a bounded block at a time;
+        # spawning all 10000 SeedSequence children at once would peak at
+        # 3.6 MB (about 376 B each).
         config = NoisySampleConfig(eta=0.1, a_string=a_string)
         parity_learn(config, 1, 300, seed=3)  # first-call allocations stay out of the peak
         tracemalloc.start()
@@ -166,16 +172,33 @@ class TestParityLearn:
         assert peak < 500_000
 
     @pytest.mark.parametrize("a_string", ["0", "000"])
-    def test_zero_a_draws_nothing_but_spawns_every_seed(self, a_string, monkeypatch):
+    def test_zero_a_draws_nothing_and_leaves_the_seed_as_passed(self, a_string, monkeypatch):
         def no_draws(*args, **kwargs):
-            raise AssertionError("a = 0^n drew from PCG64")
+            raise AssertionError("a = 0^n derived seed words or drew from PCG64")
 
         monkeypatch.setattr(np.random, "PCG64", no_draws)
+        monkeypatch.setattr("qghz.analysis.child_seed_words", no_draws)
         seed = np.random.SeedSequence(41, n_children_spawned=2)
         reps = 2 * BLOCK_SEEDS + 3
         outcome = parity_learn(NoisySampleConfig(eta=0.3, a_string=a_string), 7, reps, seed)
         assert outcome.p_err == 0.0
-        assert seed.n_children_spawned == 2 + reps
+        assert seed.n_children_spawned == 2
+
+    def test_seed_words_shim_refuses_other_requests(self):
+        child = np.random.SeedSequence(9).spawn(1)[0]
+        words = child.generate_state(4, np.uint64)
+        assert np.array_equal(np.random.PCG64(SeedWords(words)).random_raw(3), np.random.PCG64(child).random_raw(3))
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                SeedWords(words).generate_state(n_words, dtype)
+
+    def test_importing_qghz_leaves_numpy_random_unloaded(self):
+        # rank and compile draw nothing; the learner's shim loads numpy.random on first use.
+        # The child imports the same qghz as this process, installed or not.
+        src = str(Path(qghz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, qghz; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_rejects_bad_counts(self):
         config = NoisySampleConfig(eta=0.0, a_string="1")

@@ -441,12 +441,13 @@ def test_any_width_on_qx5_exits_zero_or_one_error_line(run, n):
         code = run_cli(command, "--map", "qx5", "-n", str(n), *rest, "--out", str(Path(tmp) / "run"))
     err = err.getvalue()
     needed = n + 1 if run.endswith("parity") else n
-    if 1 <= n and needed <= 16:
-        assert code == 0 or (run == "envariance" and n == 1), err
+    lowest = 2 if run == "envariance" else 1
+    if lowest <= n and needed <= 16:
+        assert code == 0, err
     if code != 0:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    if n < 1 or needed > 16:
+    if n < lowest or needed > 16:
         assert f"-n {n}" in err or f"n = {n}" in err, err
 
 

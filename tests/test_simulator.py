@@ -40,6 +40,7 @@ from qghz.paths import create_path
 from qghz.simulator import (
     MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
+    child_seed_words,
     exact_distribution,
     oracle_draw_length,
     sample,
@@ -474,12 +475,14 @@ class TestNoisyOracle:
             sample_noisy_oracle(NoisySampleConfig(eta=0.0, a_string="1"), 0, seed=0)
 
 
-# Seeds as the package receives them: an int up to 2^64, or a SeedSequence at
-# spawn depth 0-2 that may already have spawned children. Spawning changes a
-# SeedSequence, so the property draws a spec and hands each side a fresh copy.
+# Seeds as the package receives them: an int, or a SeedSequence at spawn
+# depth 0-2 that may already have spawned children. Entropy reaches past
+# 2^128 and spawn-key entries past 2^32, so both assemble into more words
+# than the pool holds. Spawning changes a SeedSequence, so the property draws
+# a spec and hands each side a fresh copy.
 oracle_seed_specs = st.one_of(
-    st.integers(0, 2**64),
-    st.tuples(st.integers(0, 2**64), st.lists(st.integers(0, 2**32 - 1), max_size=2).map(tuple),
+    st.integers(0, 2**200),
+    st.tuples(st.integers(0, 2**200), st.lists(st.integers(0, 2**64), max_size=2).map(tuple),
               st.integers(0, 5)),
 )
 
@@ -519,7 +522,52 @@ def test_raw_oracle_draws_match_the_generator(seed, queries, blocks, offset, eta
     outcome = parity_learn(config, queries, repetitions, root)
     assert outcome.p_err == reference_parity_perr(eta, a_string, queries, repetitions, fresh_seed(seed))
     if not isinstance(seed, int):
-        assert root.n_children_spawned == seed[2] + repetitions
+        assert root.n_children_spawned == seed[2]
+
+
+# SeedSequence roots of every shape it assembles: int entropy past 2^128,
+# list entropy with entries past 2^32, uint32-array entropy (empty and
+# shorter than the pool included), spawn keys with entries past 2^32, pool
+# sizes 4, 5 and 8 (generate_state reads the pool cyclically), and children
+# already spawned.
+root_specs = st.tuples(
+    st.one_of(st.integers(0, 2**300), st.lists(st.integers(0, 2**70), min_size=1, max_size=9),
+              st.lists(st.integers(0, 2**32 - 1), max_size=9).map(lambda w: np.array(w, dtype=np.uint32))),
+    st.lists(st.integers(0, 2**70), max_size=3).map(tuple),
+    st.sampled_from([4, 5, 8]),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=root_specs, count=st.integers(0, 40), start=st.integers(0, 3))
+# The last children SeedSequence can count in its uint32.
+@example(spec=(7, (2**32,), 4, 2**32 - 6), count=2, start=3)
+def test_child_seed_words_match_spawn(spec, count, start):
+    """Seed words equal the spawned children's PCG64 seed state, and the root is left as passed.
+
+    If a numpy upgrade changes SeedSequence's hash, entropy assembly or
+    ``generate_state``, this fails.
+    """
+    entropy, spawn_key, pool_size, spawned = spec
+
+    def fresh_root():
+        return np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size,
+                                      n_children_spawned=spawned)
+
+    root = fresh_root()
+    words = child_seed_words(root, count, start)
+    expected = [child.generate_state(4, np.uint64) for child in fresh_root().spawn(start + count)[start:]]
+    assert words.dtype == np.uint64 and words.shape == (count, 4)
+    assert np.array_equal(words, np.array(expected, dtype=np.uint64).reshape(count, 4))
+    assert root.n_children_spawned == spawned
+
+
+def test_child_seed_words_stop_where_the_child_count_would_wrap():
+    root = np.random.SeedSequence(3, n_children_spawned=2**32 - 3)
+    assert child_seed_words(root, 2).shape == (2, 4)
+    with pytest.raises(ValueError, match="2\\^32"):
+        child_seed_words(root, 3)
 
 
 def test_spawn_seeds_deterministic_and_distinct():
