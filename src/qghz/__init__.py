@@ -4,17 +4,14 @@ Builds GHZ, envariance and parity-learning circuits that respect a device's
 directed CNOT connectivity, simulates them exactly, and reproduces the
 associated measurements: output histograms, Bhattacharyya fidelity, and
 parity-learner error curves.
+
+The simulator and analysis modules need numpy; they load on first use of
+one of their names (PEP 562), so importing the package and compiling
+circuits load no numpy.
 """
 
-from .analysis import (
-    FidelityReport,
-    LearningOutcome,
-    bhattacharyya,
-    fidelity_experiment,
-    parity_learn,
-    perr_curve,
-    two_peak_distribution,
-)
+import importlib
+
 from .circuits import (
     Circuit,
     Gate,
@@ -42,11 +39,33 @@ from .coupling import (
     resolve_map,
 )
 from .paths import ConnectionPath, UnreachableQubitsError, create_path, path_for
-from .simulator import (
-    NoisySampleConfig,
-    exact_distribution,
-    sample,
-    sample_noisy_oracle,
-)
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "analysis": None,
+    "kernels": None,
+    "simulator": None,
+    "FidelityReport": "analysis",
+    "LearningOutcome": "analysis",
+    "bhattacharyya": "analysis",
+    "fidelity_experiment": "analysis",
+    "parity_learn": "analysis",
+    "perr_curve": "analysis",
+    "two_peak_distribution": "analysis",
+    "NoisySampleConfig": "simulator",
+    "exact_distribution": "simulator",
+    "sample": "simulator",
+    "sample_noisy_oracle": "simulator",
+}
+
+
+def __getattr__(name):
+    # Not cached here: a name patched in its own module (by a test or a
+    # tracer) reads the same through the package.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY[name]
+    if module is None:
+        return importlib.import_module(f"{__name__}.{name}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -9,12 +9,15 @@ no files. The simulator caps the support dimension of the measured outcomes
 (at most 2^20 of them), not the qubit count; every circuit these commands
 build has a 2-outcome support, so ``parity --cross-check`` runs at any n.
 The argument parser is built on the first ``main`` call and reused by later
-calls in the same process. ``--reps`` lies in [1, ``MAX_REPS``] (the
-learner holds its repetitions' seed words and raw draws a bounded block at
-a time, so memory does not grow with it), ``--shots`` in [1, ``MAX_SHOTS``]
-(far inside numpy's 64-bit multinomial counts), query counts in [1,
-``MAX_QUERIES``], ``--seed`` is non-negative and envariance's ``-n`` is at
-least 2; all five are checked before any work.
+calls in the same process. ``envariance`` and ``parity`` import the
+simulator and analysis modules when they run, so ``compile`` loads no
+numpy at all; ``rank`` loads it for ``rank_all``'s array.
+``--reps`` lies in [1, ``MAX_REPS``] (the learner holds its repetitions'
+seed words and raw draws a bounded block at a time, so memory does not
+grow with it), ``--shots`` in [1, ``MAX_SHOTS``] (far inside numpy's
+64-bit multinomial counts), query counts in [1, ``MAX_QUERIES``],
+``--seed`` is non-negative and envariance's ``-n`` is at least 2; all five
+are checked before any work.
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
@@ -28,14 +31,6 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    b_per_repetition,
-    circuit_oracle_crosscheck,
-    envariance_histograms,
-    fidelity_report,
-    frequencies,
-    perr_curve,
-)
 from .circuits import (
     IllegalCouplingError,
     OraclePattern,
@@ -50,7 +45,6 @@ from .circuits import (
 )
 from .coupling import MapFormatError, most_connected, rank_all, resolve_map
 from .paths import UnreachableQubitsError, path_for
-from .simulator import NoisySampleConfig
 
 CROSSCHECK_SHOTS = 100_000
 MAX_QUERIES = 1 << 20
@@ -199,6 +193,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_envariance(args) -> int:
+    from .analysis import b_per_repetition, envariance_histograms, fidelity_report, frequencies
+
     if args.n < 2:
         raise UsageError(f"envariance needs at least two qubits to compare, got -n {args.n}")
     _check_count("--reps", args.reps, MAX_REPS)
@@ -234,6 +230,9 @@ def _cmd_envariance(args) -> int:
 
 
 def _cmd_parity(args) -> int:
+    from .analysis import circuit_oracle_crosscheck, perr_curve
+    from .simulator import NoisySampleConfig
+
     _check_count("--reps", args.reps, MAX_REPS)
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")

@@ -9,7 +9,7 @@ Each qubit x gets a rank: the number of other qubits that can reach x along
 directed edges. The top-ranked qubit is the natural root for spreading
 entanglement, since every CNOT chain must flow into it.
 
-``rank_all`` computes every rank in one sweep over the strongly connected
+``_ranks`` computes every rank in one sweep over the strongly connected
 components (Kosaraju; Purdom 1970 and Sharir 1981 condense components the
 same way before propagating reachability). Qubits on one directed cycle
 reach exactly the same qubits, so they share one Python-int bitset. The
@@ -26,6 +26,11 @@ num_qubits**2 / 8 bytes in all. Measured on a 2-core Xeon with Python
 3.11: a 20000-qubit line ranks in 0.07 s with its edges pointing up the
 labels and in 0.07-0.09 s pointing down, and a 100 x 100 grid around a
 directed Hamiltonian cycle (one component) in 0.01 s.
+
+The sweep returns a list of ints, and the compiler (``paths.path_for``)
+reads it as such, so this module does not import numpy and neither does a
+compile. The public ``rank_all`` wraps the same list in an int64 ndarray
+and imports numpy only when it is called; ``most_connected`` takes either.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 BUNDLED_MAPS = ("qx4", "qx5")
 
@@ -181,8 +188,8 @@ def _reverse_postorder(cmap: CouplingMap) -> list[int]:
     return order
 
 
-def rank_all(cmap: CouplingMap) -> np.ndarray:
-    """Rank table for the whole map in one component sweep (see the module docstring)."""
+def _ranks(cmap: CouplingMap) -> list[int]:
+    """Every qubit's rank, by qubit index, from one component sweep (see the module docstring)."""
     component = [-1] * cmap.num_qubits
     reach: list[int] = []  # per component, in topological order
     for root in _reverse_postorder(cmap):
@@ -204,11 +211,18 @@ def rank_all(cmap: CouplingMap) -> np.ndarray:
                     bits |= reach[owner]
         reach.append(bits)
     ranks = [r.bit_count() - 1 for r in reach]
-    return np.array([ranks[c] for c in component], dtype=np.int64)
+    return [ranks[c] for c in component]
 
 
-def most_connected(rank: np.ndarray) -> int:
-    """Index of the highest-ranked qubit; ties break toward the lowest index."""
+def rank_all(cmap: CouplingMap) -> np.ndarray:
+    """Rank table for the whole map as an int64 ndarray, by qubit index."""
+    import numpy as np
+
+    return np.array(_ranks(cmap), dtype=np.int64)
+
+
+def most_connected(rank: list[int] | np.ndarray) -> int:
+    """Index of the highest-ranked qubit in a list or array of ranks; ties break toward the lowest index."""
     if len(rank) == 0:
         raise ValueError("rank table is empty")
-    return int(np.argmax(rank))
+    return max(range(len(rank)), key=rank.__getitem__)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import CouplingMap, most_connected, rank_all
+from .coupling import CouplingMap, _ranks, most_connected
 
 
 class UnreachableQubitsError(ValueError):
@@ -81,4 +81,4 @@ def create_path(cmap: CouplingMap, root: int, requested: int) -> ConnectionPath:
 
 def path_for(cmap: CouplingMap, n: int) -> ConnectionPath:
     """Connection path over n qubits rooted at the map's most connected qubit."""
-    return create_path(cmap, most_connected(rank_all(cmap)), n)
+    return create_path(cmap, most_connected(_ranks(cmap)), n)

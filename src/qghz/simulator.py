@@ -258,10 +258,17 @@ def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> np.nda
     return np.bincount(2 * carries_a + (carries_a ^ noisy), minlength=4).reshape(2, 2)
 
 
+def _check_child_count(first: int, count: int) -> None:
+    """Raise where numpy's uint32 child counter would wrap (its ``spawn`` then loops forever)."""
+    if first + count >= 1 << 32:
+        raise ValueError("SeedSequence counts its children in a uint32; child indices must stay below 2^32 - 1")
+
+
 def spawn_seeds(seed, count: int) -> list[np.random.SeedSequence]:
     """Independent child seeds for repetition loops, derived deterministically."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
+    _check_child_count(seed.n_children_spawned, count)
     return seed.spawn(count)
 
 
@@ -296,8 +303,7 @@ def child_seed_words(seed: np.random.SeedSequence, count: int, start: int = 0) -
     arithmetic wraps silently (on numpy scalars it would warn).
     """
     first = seed.n_children_spawned + start
-    if first + count >= 1 << 32:
-        raise ValueError("SeedSequence counts its children in a uint32; child indices must stay below 2^32 - 1")
+    _check_child_count(first, count)
     pool_size = seed.pool_size
     run_words, key_words = _entropy_words(seed.entropy), _entropy_words(seed.spawn_key)
     if key_words:

@@ -1,11 +1,7 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,6 @@ from oracles import (
     reference_parity_perr,
     validate_distribution,
 )
-import qghz
 from qghz.analysis import (
     BLOCK_SEEDS,
     FidelityReport,
@@ -191,14 +186,6 @@ class TestParityLearn:
         for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
             with pytest.raises(ValueError, match="4 uint64 words"):
                 SeedWords(words).generate_state(n_words, dtype)
-
-    def test_importing_qghz_leaves_numpy_random_unloaded(self):
-        # rank and compile draw nothing; the learner's shim loads numpy.random on first use.
-        # The child imports the same qghz as this process, installed or not.
-        src = str(Path(qghz.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, qghz; sys.exit('numpy.random' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_rejects_bad_counts(self):
         config = NoisySampleConfig(eta=0.0, a_string="1")

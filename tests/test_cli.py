@@ -230,8 +230,8 @@ class TestParity:
 
     def test_cross_check_ranks_the_map_once(self, tmp_path, monkeypatch):
         calls = []
-        rank_all = qghz.paths.rank_all
-        monkeypatch.setattr(qghz.paths, "rank_all", lambda cmap: calls.append(cmap.name) or rank_all(cmap))
+        ranks = qghz.paths._ranks
+        monkeypatch.setattr(qghz.paths, "_ranks", lambda cmap: calls.append(cmap.name) or ranks(cmap))
         assert run_cli(
             "parity", "--map", "qx5", "-n", "4", "--pattern", "10", "--queries", "4",
             "--reps", "10", "--cross-check", "--out", str(tmp_path / "parity"),

@@ -160,6 +160,13 @@ class TestMostConnected:
     def test_empty_table(self):
         with pytest.raises(ValueError):
             most_connected(np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="rank table is empty"):
+            most_connected([])
+
+    @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=30))
+    def test_list_and_array_pick_the_same_qubit(self, ranks):
+        # Small values make ties common; the lowest index among the maxima wins either way.
+        assert most_connected(ranks) == most_connected(np.array(ranks, dtype=np.int64)) == ranks.index(max(ranks))
 
 
 @st.composite

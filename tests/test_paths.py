@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_connected_map
 from oracles import check_spanning_tree
-from qghz.coupling import CouplingMap, bundled_map
-from qghz.paths import ConnectionPath, UnreachableQubitsError, create_path
+from qghz.coupling import CouplingMap, bundled_map, most_connected, rank_all
+from qghz.paths import ConnectionPath, UnreachableQubitsError, create_path, path_for
 
 CHAIN = CouplingMap(3, [(0, 1), (1, 2)])
 
@@ -96,6 +98,26 @@ def test_spanning_property_on_random_maps(rng):
         check_spanning_tree(root, path.pairs, requested)
         for new, anchor in path.pairs:
             assert cmap.has_edge(new, anchor) or cmap.has_edge(anchor, new)
+
+
+@st.composite
+def connected_maps(draw, max_qubits=200):
+    """Weakly connected map: a random tree with random edge directions, extra edges, labels shuffled."""
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
+    label = draw(st.permutations(range(n)))
+    edges = set()
+    for i in range(1, n):
+        pair = (label[i], label[draw(st.integers(0, i - 1))])
+        edges.add(pair if draw(st.booleans()) else pair[::-1])
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(c, t) for c, t in extra if c != t}
+    return CouplingMap(n, sorted(edges))
+
+
+@given(connected_maps(), st.data())
+def test_path_for_roots_at_the_public_rank_table_choice(cmap, data):
+    n = data.draw(st.integers(1, cmap.num_qubits))
+    assert path_for(cmap, n).root == most_connected(rank_all(cmap))
 
 
 def test_path_dataclass_is_frozen():

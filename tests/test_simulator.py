@@ -570,6 +570,15 @@ def test_child_seed_words_stop_where_the_child_count_would_wrap():
         child_seed_words(root, 3)
 
 
+def test_spawn_seeds_stop_where_the_child_count_would_wrap():
+    # numpy's own spawn loops forever here; the check must raise before it.
+    root = np.random.SeedSequence(0, n_children_spawned=2**32 - 2)
+    assert len(spawn_seeds(root, 1)) == 1
+    with pytest.raises(ValueError, match="2\\^32"):
+        spawn_seeds(root, 3)
+    assert root.n_children_spawned == 2**32 - 1
+
+
 def test_spawn_seeds_deterministic_and_distinct():
     a = spawn_seeds(123, 5)
     b = spawn_seeds(123, 5)
