@@ -3,7 +3,7 @@
 It lives apart from ``analysis`` because subclassing ``ISeedSequence``
 imports ``numpy.random``: about 6 MB of resident memory and 10-15 ms of
 start-up (2-core Xeon, numpy 2.4) that ``rank`` and ``compile`` would
-otherwise pay on every import of ``qghz``. ``parity_learn`` imports it on
+otherwise pay on every import of ``qghz``. The learner imports it on
 first use.
 """
 
@@ -22,6 +22,8 @@ class SeedWords(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if dtype is np.uint64 and n_words == 4:  # what PCG64.__init__ asks, once per row
+            return self.words
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError(f"holds only the 4 uint64 words PCG64 asks for, not {n_words} of {np.dtype(dtype)}")
         return self.words

@@ -21,13 +21,16 @@ the kept 0^n queries the noisy, non-carrying ones; their difference is
 (queries carrying a) - (noisy queries), since the queries that are both
 cancel. So a repetition fails iff a != 0^n and at most as many of its
 queries carry a as are noisy. The learner never builds the strings or a
-count table: a bounded block of repetitions at a time, it derives their
-seeds' PCG64 seed words with ``simulator.child_seed_words`` (the same words
-as spawning those children, without spawning them), fills one row of raw
-PCG64 outputs per repetition, decodes the block with
-``simulator.decode_oracle_draws`` and counts both flags per row in one
-numpy pass. For a = 0^n it returns p_err = 0 at once, since no repetition
-can fail.
+count table. ``perr_curve`` walks its (query count, repetition) rows in
+blocks of at most ``BLOCK_SEEDS`` rows that may span several counts, and
+``parity_learn`` is the one-count case of the same loop. Per block it
+derives every row's PCG64 seed words in one ``simulator.child_seed_words``
+pass across the counts' sibling seeds (the same words as spawning those
+children, without spawning them); then, for each count, it fills one row
+of raw PCG64 outputs per repetition, at most ``BLOCK_OUTPUTS`` outputs at
+a time, decodes them with ``simulator.decode_oracle_draws`` and counts
+both flags per row in one numpy pass. For a = 0^n it returns p_err = 0 at
+once, since no repetition can fail.
 """
 
 from __future__ import annotations
@@ -54,10 +57,10 @@ from .simulator import (
 )
 
 Distribution = dict[str, float]
-# parity_learn holds at most this many rows of seed words (32 B each) and
+# The learner holds at most this many rows of seed words (32 B each) and
 # this many raw outputs (8 B each) at once; a single repetition may exceed
 # the second.
-BLOCK_SEEDS = 256
+BLOCK_SEEDS = 1024
 BLOCK_OUTPUTS = 1 << 16
 
 
@@ -139,40 +142,64 @@ def parity_learn(config: NoisySampleConfig, queries: int, repetitions: int, seed
     ``seed`` is left as it was passed. For a = 0^n p_err is 0 and nothing
     is drawn.
     """
-    if queries < 1 or repetitions < 1:
-        raise ValueError("queries and repetitions must be positive")
-    if "1" not in config.a_string:
-        # a = 0^n: the all-zero vote never misses.
-        return LearningOutcome(p_err=0.0, queries=queries, repetitions=repetitions, effective_a=config.a_string)
-    from ._seed_words import SeedWords  # loads numpy.random, which import qghz leaves out
-
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    length = oracle_draw_length(queries)
-    block = max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // length))
-    failures = 0
-    for start in range(0, repetitions, block):
-        words = child_seed_words(root, min(block, repetitions - start), start)
-        raw = np.empty((len(words), length), dtype=np.uint64)
-        for row, row_words in zip(raw, words):
-            row[:] = np.random.PCG64(SeedWords(row_words)).random_raw(length)
-        noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
-        # kept a queries - kept 0^n queries = carrying queries - noisy queries
-        failures += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
-    return LearningOutcome(
-        p_err=failures / repetitions,
-        queries=queries,
-        repetitions=repetitions,
-        effective_a=config.a_string,
-    )
+    return _learn(config, [queries], repetitions, [root])[0]
 
 
 def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) -> list[LearningOutcome]:
-    """One learning outcome per query count, with independent derived seeds."""
+    """One learning outcome per query count, with independent derived seeds.
+
+    Equals ``parity_learn(config, q, repetitions, s)`` for each q and its
+    ``s`` in ``spawn_seeds(seed, len(queries_list))``, but derives the seed
+    words of every count's repetitions in blocks that span counts.
+    """
     queries_list = list(queries_list)
     if not queries_list:
         raise ValueError("queries_list is empty")
-    seeds = spawn_seeds(seed, len(queries_list))
-    return [parity_learn(config, q, repetitions, s) for q, s in zip(queries_list, seeds)]
+    return _learn(config, queries_list, repetitions, spawn_seeds(seed, len(queries_list)))
+
+
+def _learn(config: NoisySampleConfig, queries_list: list[int], repetitions: int,
+           roots: list[np.random.SeedSequence]) -> list[LearningOutcome]:
+    """Learning outcome of each query count; count j's repetition i draws with child i of sibling ``roots[j]``.
+
+    The (count, repetition) rows are walked in order, ``BLOCK_SEEDS`` at a
+    time: one ``child_seed_words`` pass per block, whose rows may belong to
+    several counts, then each count's rows are drawn and scored at most
+    ``BLOCK_OUTPUTS`` raw outputs at a time. The counts are checked before
+    anything is drawn, and the roots are only read.
+    """
+    if min(queries_list) < 1 or repetitions < 1:
+        raise ValueError("queries and repetitions must be positive")
+    failures = [0] * len(queries_list)
+    # a = 0^n: the all-zero vote never misses, so nothing is derived or drawn.
+    if "1" in config.a_string:
+        from ._seed_words import SeedWords  # loads numpy.random, which import qghz leaves out
+
+        total = len(queries_list) * repetitions
+        for block in range(0, total, BLOCK_SEEDS):
+            end = min(block + BLOCK_SEEDS, total)
+            spanned = range(block // repetitions, (end - 1) // repetitions + 1)
+            # Count j's rows in the block are its repetitions start..stop-1.
+            starts = [max(block - j * repetitions, 0) for j in spanned]
+            stops = [min(end - j * repetitions, repetitions) for j in spanned]
+            words = child_seed_words(roots[spanned.start:spanned.stop], np.subtract(stops, starts), starts)
+            row = 0
+            for j, start, stop in zip(spanned, starts, stops):
+                rows, row = words[row:row + stop - start], row + stop - start
+                queries = queries_list[j]
+                length = oracle_draw_length(queries)
+                step = max(1, BLOCK_OUTPUTS // length)
+                for first in range(0, len(rows), step):
+                    chunk = rows[first:first + step]
+                    raw = np.empty((len(chunk), length), dtype=np.uint64)
+                    for out, row_words in zip(raw, chunk):
+                        out[:] = np.random.PCG64(SeedWords(row_words)).random_raw(length)
+                    noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
+                    # kept a queries - kept 0^n queries = carrying queries - noisy queries
+                    failures[j] += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
+    return [LearningOutcome(p_err=f / repetitions, queries=q, repetitions=repetitions, effective_a=config.a_string)
+            for q, f in zip(queries_list, failures)]
 
 
 def circuit_oracle_crosscheck(circuit: Circuit, a_string: str, shots: int, seed) -> float:

@@ -37,9 +37,11 @@ Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
 integer seed. Derived per-repetition seeds use SeedSequence.spawn, except
 in the learner, which needs only each child's PCG64 seed words:
-``child_seed_words`` derives a block of them in one numpy uint32 pass from
-the root's pool, restating numpy's SeedSequence hash (O'Neill's seed_seq
-mixing), and leaves the root as it was. The noisy parity oracle reads raw
+``child_seed_words`` derives a block of them in one numpy uint32 pass,
+across the children of one root or of several sibling roots (a learning
+curve's per-count seeds), each row from its own root's pool, restating
+numpy's SeedSequence hash (O'Neill's seed_seq mixing), and leaves every
+root as it was. The noisy parity oracle reads raw
 PCG64 outputs (``random_raw``) instead of a Generator: a draw of q queries
 reads ``oracle_draw_length(q)`` = q + ceil(q/2) 64-bit outputs. Output
 i < q makes query i noisy iff it is below ceil(eta * 2^53) << 11, which is
@@ -291,28 +293,55 @@ def _entropy_words(value) -> int:
     return sum(_entropy_words(v) for v in value)
 
 
-def child_seed_words(seed: np.random.SeedSequence, count: int, start: int = 0) -> np.ndarray:
-    """(count, 4) uint64: row i is ``generate_state(4, np.uint64)`` of ``seed``'s child ``n_children_spawned + start + i``.
+def _sibling_key(seed: np.random.SeedSequence) -> tuple:
+    """What the children of one ``spawn`` share, besides their entropy."""
+    return seed.pool_size, seed.n_children_spawned, len(seed.spawn_key), _entropy_words(seed.spawn_key)
 
-    Equals the states of ``seed.spawn(start + count)[start:]``, but spawns
-    nothing and leaves ``seed`` as it was. A child's assembled entropy is
-    its root's (zero-padded to the pool size) followed by one word, the
-    child's index, so its pool is the root's pool with that word mixed into
-    each pool word, the hash constant continuing from where the root's
-    stopped. All ``count`` children are hashed as one uint32 column, whose
-    arithmetic wraps silently (on numpy scalars it would warn).
+
+def child_seed_words(seeds, count, start=0) -> np.ndarray:
+    """(sum of counts, 4) uint64: ``generate_state(4, np.uint64)`` of children of one seed or of a list of siblings.
+
+    ``seeds`` is one SeedSequence or a list of siblings; ``count`` and
+    ``start`` are ints or one per sibling. Sibling j contributes
+    ``count[j]`` rows, its children ``n_children_spawned + start[j] + i``,
+    after the rows of siblings 0..j-1. So for one seed the rows equal the
+    states of ``seed.spawn(start + count)[start:]``, but nothing is spawned
+    and every seed is left as it was. Siblings share their entropy,
+    spawn-key length, pool size and ``n_children_spawned`` (as the
+    children of one ``spawn`` do); ValueError when they differ.
+
+    A child's assembled entropy is its root's (zero-padded to the pool
+    size) followed by one word, the child's index, so its pool is the
+    root's pool with that word mixed into each pool word, the hash constant
+    continuing from where the root's stopped. Siblings' roots stopped at
+    the same constant, so all rows are hashed as one uint32 column, each
+    from its own root's pool; uint32 arithmetic wraps silently (on numpy
+    scalars it would warn).
     """
-    first = seed.n_children_spawned + start
-    _check_child_count(first, count)
-    pool_size = seed.pool_size
-    run_words, key_words = _entropy_words(seed.entropy), _entropy_words(seed.spawn_key)
+    seeds = [seeds] if isinstance(seeds, np.random.SeedSequence) else list(seeds)
+    if not seeds:
+        raise ValueError("child_seed_words needs at least one seed")
+    entropy, key = seeds[0].entropy, _sibling_key(seeds[0])
+    for other in seeds[1:]:
+        same_entropy = other.entropy is entropy or (type(other.entropy) is type(entropy)
+                                                    and np.array_equal(other.entropy, entropy))
+        if not same_entropy or _sibling_key(other) != key:
+            raise ValueError("child_seed_words takes siblings: one entropy, spawn-key length, pool size "
+                             "and n_children_spawned")
+    pool_size, first, _, key_words = key
+    run_words = _entropy_words(entropy)
+    counts = np.broadcast_to(np.asarray(count, dtype=np.int64), len(seeds))
+    starts = np.broadcast_to(np.asarray(start, dtype=np.int64), len(seeds))
+    _check_child_count(first, int((starts + counts).max()))
     if key_words:
         run_words = max(run_words, pool_size)
     # The root hashed each pool word once, each ordered pair of pool words
     # once, and each entropy word past the pool once per pool word.
     hash_const = INIT_A * pow(MULT_A, pool_size * max(pool_size, run_words + key_words), 1 << 32) % (1 << 32)
-    index = np.arange(first, first + count, dtype=np.uint32)
-    mixer = np.tile(seed.pool, (count, 1))
+    # Row r of sibling j's run is child first + start[j] + (r - rows before j).
+    total = int(counts.sum())
+    index = (np.arange(total) + np.repeat(first + starts - (np.cumsum(counts) - counts), counts)).astype(np.uint32)
+    mixer = np.repeat(np.array([s.pool for s in seeds]), counts, axis=0)
     for dst in range(pool_size):
         value = index ^ np.uint32(hash_const)
         hash_const = hash_const * MULT_A % (1 << 32)
@@ -322,7 +351,7 @@ def child_seed_words(seed: np.random.SeedSequence, count: int, start: int = 0) -
         mixer[:, dst] = mixed ^ mixed >> XSHIFT
     # generate_state(4, uint64) hashes 8 uint32 words read cyclically from
     # the pool and pairs them low word first.
-    state = np.empty((count, 8), dtype=np.uint32)
+    state = np.empty((total, 8), dtype=np.uint32)
     hash_const = INIT_B
     for i in range(8):
         value = mixer[:, i % pool_size] ^ np.uint32(hash_const)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -183,6 +183,7 @@ class TestParityLearn:
         child = np.random.SeedSequence(9).spawn(1)[0]
         words = child.generate_state(4, np.uint64)
         assert np.array_equal(np.random.PCG64(SeedWords(words)).random_raw(3), np.random.PCG64(child).random_raw(3))
+        assert np.array_equal(SeedWords(words).generate_state(4, np.dtype("<u8")), words)
         for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
             with pytest.raises(ValueError, match="4 uint64 words"):
                 SeedWords(words).generate_state(n_words, dtype)
@@ -214,11 +215,60 @@ class TestPerrCurve:
         with pytest.raises(ValueError):
             perr_curve(NoisySampleConfig(eta=0.0, a_string="1"), [], 10, seed=0)
 
+    @pytest.mark.parametrize("a_string", ["11", "00"])
+    def test_memory_does_not_grow_with_repetitions(self, a_string):
+        # As parity_learn's: a seed-word block of BLOCK_SEEDS rows and its raw
+        # outputs are held at a time, whatever the curve's row count.
+        config = NoisySampleConfig(eta=0.1, a_string=a_string)
+        perr_curve(config, [1, 3], 300, seed=3)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            perr_curve(config, [1, 3], 10_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
+    def test_bad_counts_raise_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a bad count derived seed words or drew from PCG64")
+
+        monkeypatch.setattr(np.random, "PCG64", no_draws)
+        monkeypatch.setattr("qghz.analysis.child_seed_words", no_draws)
+        config = NoisySampleConfig(eta=0.1, a_string="11")
+        with pytest.raises(ValueError, match="positive"):
+            perr_curve(config, [3, 5, 0], 10, seed=0)
+        with pytest.raises(ValueError, match="positive"):
+            perr_curve(config, [3, 5], 0, seed=0)
+
     def test_zero_a_equals_literal_learner(self):
         queries, reps = [1, 2, 9, 40], 30
         outcomes = perr_curve(NoisySampleConfig(eta=0.3, a_string="000"), queries, reps, seed=6)
         expected = [reference_parity_perr(0.3, "000", q, reps, s) for q, s in zip(queries, spawn_seeds(6, 4))]
         assert [o.p_err for o in outcomes] == expected
+
+
+# Repetition counts below and above one seed block, and between a fifth
+# and a half of one, where a block edge falls inside a count's repetitions.
+curve_repetitions = st.one_of(st.integers(1, 4), st.integers(BLOCK_SEEDS // 5, BLOCK_SEEDS // 2),
+                              st.integers(BLOCK_SEEDS - 1, BLOCK_SEEDS + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(queries=st.lists(st.integers(1, 2100), min_size=1, max_size=6), repetitions=curve_repetitions,
+       seed=st.integers(0, 2**64), eta=st.one_of(st.just(0.0), st.floats(0, 0.5, exclude_max=True)),
+       a_string=st.one_of(st.just("000"),
+                          st.builds("{}1{}".format, st.text("01", max_size=3), st.text("01", max_size=3))))
+# The first block ends 224 repetitions into the third count's 400; the
+# second count needs several output blocks.
+@example(queries=[5, 2100, 1], repetitions=400, seed=0, eta=0.25, a_string="101")
+@example(queries=[1, 3], repetitions=BLOCK_SEEDS + 1, seed=1, eta=0.0, a_string="1")
+@example(queries=[7, 9], repetitions=300, seed=2, eta=0.1, a_string="000")
+def test_perr_curve_equals_parity_learn_per_count(queries, repetitions, seed, eta, a_string):
+    """Blocks that span counts draw each repetition from the seed ``parity_learn`` would give it."""
+    config = NoisySampleConfig(eta=eta, a_string=a_string)
+    expected = [parity_learn(config, q, repetitions, s) for q, s in zip(queries, spawn_seeds(seed, len(queries)))]
+    assert perr_curve(config, queries, repetitions, seed) == expected
 
 
 class TestFidelityExperiment:

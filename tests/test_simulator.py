@@ -540,13 +540,16 @@ root_specs = st.tuples(
 
 
 @settings(max_examples=200, deadline=None)
-@given(spec=root_specs, count=st.integers(0, 40), start=st.integers(0, 3))
+@given(spec=root_specs, count=st.integers(0, 40), start=st.integers(0, 3),
+       siblings=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=1, max_size=4))
 # The last children SeedSequence can count in its uint32.
-@example(spec=(7, (2**32,), 4, 2**32 - 6), count=2, start=3)
-def test_child_seed_words_match_spawn(spec, count, start):
-    """Seed words equal the spawned children's PCG64 seed state, and the root is left as passed.
+@example(spec=(7, (2**32,), 4, 2**32 - 6), count=2, start=3, siblings=[(2, 3), (0, 0), (1, 2)])
+def test_child_seed_words_match_spawn(spec, count, start, siblings):
+    """Seed words equal the spawned children's PCG64 seed state, and the roots are left as passed.
 
-    If a numpy upgrade changes SeedSequence's hash, entropy assembly or
+    One root is drawn from ``spec``; 1-4 sibling roots are the children of
+    one ``spawn`` of it, each with its own (count, start). If a numpy
+    upgrade changes SeedSequence's hash, entropy assembly or
     ``generate_state``, this fails.
     """
     entropy, spawn_key, pool_size, spawned = spec
@@ -555,12 +558,32 @@ def test_child_seed_words_match_spawn(spec, count, start):
         return np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size,
                                       n_children_spawned=spawned)
 
+    def states(root, count, start):
+        return [child.generate_state(4, np.uint64) for child in root.spawn(start + count)[start:]]
+
     root = fresh_root()
     words = child_seed_words(root, count, start)
-    expected = [child.generate_state(4, np.uint64) for child in fresh_root().spawn(start + count)[start:]]
     assert words.dtype == np.uint64 and words.shape == (count, 4)
-    assert np.array_equal(words, np.array(expected, dtype=np.uint64).reshape(count, 4))
+    assert np.array_equal(words, np.array(states(fresh_root(), count, start), dtype=np.uint64).reshape(count, 4))
     assert root.n_children_spawned == spawned
+
+    roots = fresh_root().spawn(len(siblings))
+    counts, starts = zip(*siblings)
+    words = child_seed_words(roots, counts, starts)
+    expected = [w for sibling, (c, s) in zip(fresh_root().spawn(len(siblings)), siblings)
+                for w in states(sibling, c, s)]
+    assert words.shape == (sum(counts), 4)
+    assert np.array_equal(words, np.array(expected, dtype=np.uint64).reshape(sum(counts), 4))
+    assert [r.n_children_spawned for r in roots] == [0] * len(siblings)
+
+
+def test_child_seed_words_refuse_non_siblings():
+    first, second = np.random.SeedSequence(5).spawn(2)
+    assert child_seed_words([first, second], 1).shape == (2, 4)
+    with pytest.raises(ValueError, match="siblings"):
+        child_seed_words([first, np.random.SeedSequence(6).spawn(2)[1]], 1)
+    with pytest.raises(ValueError, match="siblings"):
+        child_seed_words([first, np.random.SeedSequence(5, spawn_key=(1,), n_children_spawned=3)], 1)
 
 
 def test_child_seed_words_stop_where_the_child_count_would_wrap():
