@@ -25,12 +25,20 @@ count table. ``perr_curve`` walks its (query count, repetition) rows in
 blocks of at most ``BLOCK_SEEDS`` rows that may span several counts, and
 ``parity_learn`` is the one-count case of the same loop. Per block it
 derives every row's PCG64 seed words in one ``simulator.child_seed_words``
-pass across the counts' sibling seeds (the same words as spawning those
-children, without spawning them); then, for each count, it fills one row
-of raw PCG64 outputs per repetition, at most ``BLOCK_OUTPUTS`` outputs at
-a time, decodes them with ``simulator.decode_oracle_draws`` and counts
-both flags per row in one numpy pass. For a = 0^n it returns p_err = 0 at
-once, since no repetition can fail.
+pass, keyed (count, repetition) for the curve and by repetition alone for
+``parity_learn`` (the same words as spawning those descendants, without
+spawning them); then, for each count, it fills one row of raw PCG64
+outputs per repetition, at most ``BLOCK_OUTPUTS`` outputs at a time,
+decodes them with ``simulator.decode_oracle_draws`` and counts both flags
+per row in one numpy pass. For a = 0^n it returns p_err = 0 at once,
+since no repetition can fail.
+
+Seeds: each function takes an int or a SeedSequence and draws every
+repetition with a descendant's seed words from
+``simulator.child_seed_words``, the same as numpy's ``spawn`` would give.
+Envariance repetition i uses child i, the cross-check's circuit and oracle
+draws children 0 and 1, and the curve's count j, repetition i grandchild
+(j, i). A SeedSequence seed is read, not consumed: it is left as passed.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .paths import path_for
 from .simulator import (
     Histogram,
     NoisySampleConfig,
+    SeedWords,
     child_seed_words,
     decode_oracle_draws,
     draw_histogram,
@@ -53,7 +62,6 @@ from .simulator import (
     outcome_keys,
     sample,
     sample_noisy_oracle,
-    spawn_seeds,
 )
 
 Distribution = dict[str, float]
@@ -93,8 +101,8 @@ class FidelityReport:
 def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) -> list[Histogram]:
     """One sampled histogram per repetition of an envariance circuit.
 
-    The circuit is simulated once; each repetition draws from its outcome
-    distribution with its own derived seed.
+    The circuit is simulated once; repetition i draws from its outcome
+    distribution with the seed of child i of ``seed`` (``child_seed_words``).
     """
     n = len(circuit.measured_qubits)
     if n < 2:
@@ -102,7 +110,8 @@ def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) 
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
     k, keys = outcome_keys(circuit)
-    return [draw_histogram(k, keys, shots, s) for s in spawn_seeds(seed, repetitions)]
+    return [draw_histogram(k, keys, shots, SeedWords(words))
+            for words in child_seed_words(seed, np.arange(repetitions))]
 
 
 def b_per_repetition(histograms: list[Histogram], n: int) -> list[float]:
@@ -136,57 +145,49 @@ class LearningOutcome:
 def parity_learn(config: NoisySampleConfig, queries: int, repetitions: int, seed) -> LearningOutcome:
     """Failure fraction of the postselect-and-vote learner over ``repetitions`` runs.
 
-    Repetition i draws the oracle with ``spawn_seeds(seed, repetitions)[i]``,
-    as ``sample_noisy_oracle`` would, but a SeedSequence ``seed`` is only
-    read: its children's seed words come from ``child_seed_words``, and
-    ``seed`` is left as it was passed. For a = 0^n p_err is 0 and nothing
-    is drawn.
+    Repetition i draws the oracle as ``sample_noisy_oracle`` would with
+    child i of ``seed``. For a = 0^n p_err is 0 and nothing is drawn.
     """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return _learn(config, [queries], repetitions, [root])[0]
+    return _learn(config, [queries], repetitions, seed, curve=False)[0]
 
 
 def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) -> list[LearningOutcome]:
     """One learning outcome per query count, with independent derived seeds.
 
-    Equals ``parity_learn(config, q, repetitions, s)`` for each q and its
-    ``s`` in ``spawn_seeds(seed, len(queries_list))``, but derives the seed
-    words of every count's repetitions in blocks that span counts.
+    Equals ``parity_learn(config, q, repetitions, s)`` for the j-th count q
+    and ``s`` child j of ``seed``, but derives the seed words of every
+    count's repetitions in blocks that span counts.
     """
     queries_list = list(queries_list)
     if not queries_list:
         raise ValueError("queries_list is empty")
-    return _learn(config, queries_list, repetitions, spawn_seeds(seed, len(queries_list)))
+    return _learn(config, queries_list, repetitions, seed, curve=True)
 
 
-def _learn(config: NoisySampleConfig, queries_list: list[int], repetitions: int,
-           roots: list[np.random.SeedSequence]) -> list[LearningOutcome]:
-    """Learning outcome of each query count; count j's repetition i draws with child i of sibling ``roots[j]``.
+def _learn(config: NoisySampleConfig, queries_list: list[int], repetitions: int, seed,
+           curve: bool) -> list[LearningOutcome]:
+    """Learning outcome of each query count; count j's repetition i draws with grandchild (j, i) of ``seed``.
 
-    The (count, repetition) rows are walked in order, ``BLOCK_SEEDS`` at a
-    time: one ``child_seed_words`` pass per block, whose rows may belong to
-    several counts, then each count's rows are drawn and scored at most
+    Without ``curve`` there is one count, and repetition i draws with child
+    i. The (count, repetition) rows are walked in order, ``BLOCK_SEEDS`` at
+    a time: one ``child_seed_words`` pass per block, whose rows may belong
+    to several counts, then each count's rows are drawn and scored at most
     ``BLOCK_OUTPUTS`` raw outputs at a time. The counts are checked before
-    anything is drawn, and the roots are only read.
+    anything is drawn.
     """
     if min(queries_list) < 1 or repetitions < 1:
         raise ValueError("queries and repetitions must be positive")
+    # Built even for a = 0^n, so a bad seed raises whatever a is.
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     failures = [0] * len(queries_list)
     # a = 0^n: the all-zero vote never misses, so nothing is derived or drawn.
     if "1" in config.a_string:
-        from ._seed_words import SeedWords  # loads numpy.random, which import qghz leaves out
-
         total = len(queries_list) * repetitions
         for block in range(0, total, BLOCK_SEEDS):
-            end = min(block + BLOCK_SEEDS, total)
-            spanned = range(block // repetitions, (end - 1) // repetitions + 1)
-            # Count j's rows in the block are its repetitions start..stop-1.
-            starts = [max(block - j * repetitions, 0) for j in spanned]
-            stops = [min(end - j * repetitions, repetitions) for j in spanned]
-            words = child_seed_words(roots[spanned.start:spanned.stop], np.subtract(stops, starts), starts)
-            row = 0
-            for j, start, stop in zip(spanned, starts, stops):
-                rows, row = words[row:row + stop - start], row + stop - start
+            count, rep = divmod(np.arange(block, min(block + BLOCK_SEEDS, total)), repetitions)
+            words = child_seed_words(root, np.column_stack((count, rep)) if curve else rep)
+            # count is sorted, so each count's rows are one run of the block.
+            for j, rows in enumerate(np.split(words, np.flatnonzero(np.diff(count)) + 1), int(count[0])):
                 queries = queries_list[j]
                 length = oracle_draw_length(queries)
                 step = max(1, BLOCK_OUTPUTS // length)
@@ -212,7 +213,7 @@ def circuit_oracle_crosscheck(circuit: Circuit, a_string: str, shots: int, seed)
     oracle draw (0^n, 0) reads "0" + 0^n and a draw (a, 1) reads "1" + a.
     At eta = 0 those are the only draws: the diagonal of the oracle's table.
     """
-    circuit_seed, oracle_seed = spawn_seeds(seed, 2)
+    circuit_seed, oracle_seed = map(SeedWords, child_seed_words(seed, [0, 1]))
     histogram = sample(circuit, shots, circuit_seed)
     counts = sample_noisy_oracle(NoisySampleConfig(eta=0.0, a_string=a_string), shots, oracle_seed)
     oracle = {"0" * (len(a_string) + 1): int(counts[0, 0]), "1" + a_string: int(counts[1, 1])}

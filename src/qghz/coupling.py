@@ -22,10 +22,8 @@ earlier component with an edge into it: one OR per edge, nothing
 revisited. A qubit's rank is its component's popcount minus one, so a
 qubit on a cycle never counts itself and a qubit reached along several
 paths counts once. Memory is one bitset per component, at most
-num_qubits**2 / 8 bytes in all. Measured on a 2-core Xeon with Python
-3.11: a 20000-qubit line ranks in 0.07 s with its edges pointing up the
-labels and in 0.07-0.09 s pointing down, and a 100 x 100 grid around a
-directed Hamiltonian cycle (one component) in 0.01 s.
+num_qubits**2 / 8 bytes in all. README's "Map files" section gives
+measured times.
 
 The sweep returns a list of ints, and the compiler (``paths.path_for``)
 reads it as such, so this module does not import numpy and neither does a

@@ -16,46 +16,47 @@ eliminated on their x bits and unmeasured z bits. The rows that reduce to
 zero there are parity checks on the measured outcome; back-substituting
 them gives one base outcome and one flip per free bit, and the 2^r
 outcomes are listed from those as int keys. Two caps apply. At most
-``MAX_INVOLVED_QUBITS`` = 2048 qubits are involved: on a dense random
-tableau measured on a few qubits the elimination multiplies about m^2/4
-row pairs, 5.6-7.6 s at 2048 qubits, while envariance and parity on a
-2048-qubit line take at most 0.05 s (2-core Xeon, Python 3.11). And the
-support dimension r is at most ``MAX_SUPPORT_DIMENSION`` = 20, so at most
-2^20 outcomes are listed; the elimination stops as soon as r is certain to
-exceed it, so the same dense tableau measured on every qubit raises after
-2.2-2.4 s. Repetitions draw from that one distribution: a multinomial over
-its support, which gives the same counts as one over all 2^k outcomes,
-since numpy's binomial draws consume no random numbers for p = 0. The keys
-stay ints up to the draw, and only the drawn ones become k-character
-bitstrings: with H on 20 of 100 measured qubits (2^20 outcomes),
-``sample`` of 8192 shots takes 0.33-0.38 s and 116 MB peak RSS there.
+``MAX_INVOLVED_QUBITS`` = 2048 qubits are involved, because on a dense
+random tableau measured on a few qubits the elimination multiplies about
+m^2/4 row pairs. And the support dimension r is at most
+``MAX_SUPPORT_DIMENSION`` = 20, so at most 2^20 outcomes are listed; the
+elimination stops as soon as r is certain to exceed it. README's
+"Simulation engine" section gives measured times for both. Repetitions
+draw from that one distribution: a multinomial over its support, which
+gives the same counts as one over all 2^k outcomes, since numpy's binomial
+draws consume no random numbers for p = 0. The keys stay ints up to the
+draw, and only the drawn ones become k-character bitstrings.
 ``exact_distribution`` returns every key, so it formats all of them. A
 statevector simulator is kept in ``tests/oracles.py`` as the independent
 reference the tests hold this engine to.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
 so every histogram is reproducible bit-for-bit across platforms for a given
-integer seed. Derived per-repetition seeds use SeedSequence.spawn, except
-in the learner, which needs only each child's PCG64 seed words:
-``child_seed_words`` derives a block of them in one numpy uint32 pass,
-across the children of one root or of several sibling roots (a learning
-curve's per-count seeds), each row from its own root's pool, restating
-numpy's SeedSequence hash (O'Neill's seed_seq mixing), and leaves every
-root as it was. The noisy parity oracle reads raw
-PCG64 outputs (``random_raw``) instead of a Generator: a draw of q queries
-reads ``oracle_draw_length(q)`` = q + ceil(q/2) 64-bit outputs. Output
-i < q makes query i noisy iff it is below ceil(eta * 2^53) << 11, which is
-exactly ``Generator.random() < eta`` (``random`` keeps the top 53 bits). The next ceil(q/2) outputs, split into
-32-bit halves with the low half first, give query i's carry bit as the top
-bit of half i, which is exactly ``Generator.integers(0, 2, dtype=int64)``:
-that draws 32-bit halves low half first, and Lemire's method never rejects
-for a range of 2 (O'Neill 2014, "PCG"; Lemire 2019). So one raw row per seed
-replaces a Generator and two draws, and a whole block of rows decodes in one
-numpy pass. The equivalence rests on numpy keeping PCG64, SeedSequence and
-those two Generator methods stream-compatible (NEP 19). Two hypothesis
-properties in ``tests/test_simulator.py`` hold the decode to the Generator
-draws and ``child_seed_words`` to ``spawn`` plus ``generate_state``, so a
-numpy upgrade that changes either stream or the hash fails them by name.
+integer seed. Every derived per-repetition seed comes from one function,
+``child_seed_words``. Given one seed and a block of its descendants, named
+by child indices (one level for a repetition, two for a learning curve's
+(count, repetition)), it returns each descendant's PCG64 seed words: the
+``generate_state(4, uint64)`` of the SeedSequence ``spawn`` would make. It
+restates numpy's SeedSequence hash (O'Neill's seed_seq mixing) in one numpy
+uint32 pass from the seed's pool, one key column per level, and spawns
+nothing; ``SeedWords`` hands one row to ``PCG64``. So a SeedSequence seed
+is read, not consumed: it is left as it was passed. The noisy parity oracle
+reads raw PCG64 outputs (``random_raw``) instead of a Generator: a draw of
+q queries reads ``oracle_draw_length(q)`` = q + ceil(q/2) 64-bit outputs.
+Output i < q makes query i noisy iff it is below ceil(eta * 2^53) << 11,
+which is exactly ``Generator.random() < eta`` (``random`` keeps the top 53
+bits). The next ceil(q/2) outputs, split into 32-bit halves with the low
+half first, give query i's carry bit as the top bit of half i, which is
+exactly ``Generator.integers(0, 2, dtype=int64)``: that draws 32-bit halves
+low half first, and Lemire's method never rejects for a range of 2 (O'Neill
+2014, "PCG"; Lemire 2019). So one raw row per seed replaces a Generator and
+two draws, and a whole block of rows decodes in one numpy pass. The
+equivalence rests on numpy keeping PCG64, SeedSequence and those two
+Generator methods stream-compatible (NEP 19). Two hypothesis properties in
+``tests/test_simulator.py`` hold the decode to the Generator draws and
+``child_seed_words`` to ``spawn`` plus ``generate_state`` at depths 1 and
+2, so a numpy upgrade that changes either stream or the hash fails them by
+name.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .circuits import CNOT, H, MEASURE, X, Circuit
 
@@ -260,18 +262,20 @@ def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> np.nda
     return np.bincount(2 * carries_a + (carries_a ^ noisy), minlength=4).reshape(2, 2)
 
 
-def _check_child_count(first: int, count: int) -> None:
-    """Raise where numpy's uint32 child counter would wrap (its ``spawn`` then loops forever)."""
-    if first + count >= 1 << 32:
-        raise ValueError("SeedSequence counts its children in a uint32; child indices must stay below 2^32 - 1")
+class SeedWords(ISeedSequence):
+    """One row of ``child_seed_words``, handed to ``np.random.PCG64`` as its seed state."""
 
+    __slots__ = ("words",)
 
-def spawn_seeds(seed, count: int) -> list[np.random.SeedSequence]:
-    """Independent child seeds for repetition loops, derived deterministically."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    _check_child_count(seed.n_children_spawned, count)
-    return seed.spawn(count)
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if dtype is np.uint64 and n_words == 4:  # what PCG64.__init__ asks, once per row
+            return self.words
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds only the 4 uint64 words PCG64 asks for, not {n_words} of {np.dtype(dtype)}")
+        return self.words
 
 
 # numpy's SeedSequence hash constants, named as in numpy/random/bit_generator.pyx.
@@ -293,65 +297,53 @@ def _entropy_words(value) -> int:
     return sum(_entropy_words(v) for v in value)
 
 
-def _sibling_key(seed: np.random.SeedSequence) -> tuple:
-    """What the children of one ``spawn`` share, besides their entropy."""
-    return seed.pool_size, seed.n_children_spawned, len(seed.spawn_key), _entropy_words(seed.spawn_key)
+def child_seed_words(seed, keys) -> np.ndarray:
+    """(rows, 4) uint64: ``generate_state(4, np.uint64)`` of the descendant of ``seed`` each row of ``keys`` names.
 
+    A row is a path of child indices down from ``seed`` (one entry when
+    ``keys`` is 1-D): its first entry counts from ``seed.n_children_spawned``,
+    the next child ``spawn`` would make, and later entries from 0, a fresh
+    child's first. So row i of ``range(count)`` is ``seed.spawn(count)[i]``,
+    and row (j, i) is child i of ``seed.spawn(...)[j]``. ``seed`` is an int
+    or a SeedSequence and is only read: nothing is spawned. Every child
+    index stays below 2^32 - 1, where numpy's uint32 child counter wraps
+    (its ``spawn`` then loops forever); ValueError otherwise.
 
-def child_seed_words(seeds, count, start=0) -> np.ndarray:
-    """(sum of counts, 4) uint64: ``generate_state(4, np.uint64)`` of children of one seed or of a list of siblings.
-
-    ``seeds`` is one SeedSequence or a list of siblings; ``count`` and
-    ``start`` are ints or one per sibling. Sibling j contributes
-    ``count[j]`` rows, its children ``n_children_spawned + start[j] + i``,
-    after the rows of siblings 0..j-1. So for one seed the rows equal the
-    states of ``seed.spawn(start + count)[start:]``, but nothing is spawned
-    and every seed is left as it was. Siblings share their entropy,
-    spawn-key length, pool size and ``n_children_spawned`` (as the
-    children of one ``spawn`` do); ValueError when they differ.
-
-    A child's assembled entropy is its root's (zero-padded to the pool
-    size) followed by one word, the child's index, so its pool is the
-    root's pool with that word mixed into each pool word, the hash constant
-    continuing from where the root's stopped. Siblings' roots stopped at
-    the same constant, so all rows are hashed as one uint32 column, each
-    from its own root's pool; uint32 arithmetic wraps silently (on numpy
-    scalars it would warn).
+    A descendant's assembled entropy is the seed's (zero-padded to the pool
+    size) followed by its spawn-key entries, one word each, so its pool is
+    the seed's pool with each entry in turn mixed into every pool word, the
+    hash constant continuing from where the seed's stopped. The constant
+    depends only on the word's position, so all rows are hashed as uint32
+    columns, one key column per level; uint32 arithmetic on arrays wraps
+    silently (on numpy scalars it would warn).
     """
-    seeds = [seeds] if isinstance(seeds, np.random.SeedSequence) else list(seeds)
-    if not seeds:
-        raise ValueError("child_seed_words needs at least one seed")
-    entropy, key = seeds[0].entropy, _sibling_key(seeds[0])
-    for other in seeds[1:]:
-        same_entropy = other.entropy is entropy or (type(other.entropy) is type(entropy)
-                                                    and np.array_equal(other.entropy, entropy))
-        if not same_entropy or _sibling_key(other) != key:
-            raise ValueError("child_seed_words takes siblings: one entropy, spawn-key length, pool size "
-                             "and n_children_spawned")
-    pool_size, first, _, key_words = key
-    run_words = _entropy_words(entropy)
-    counts = np.broadcast_to(np.asarray(count, dtype=np.int64), len(seeds))
-    starts = np.broadcast_to(np.asarray(start, dtype=np.int64), len(seeds))
-    _check_child_count(first, int((starts + counts).max()))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    keys = np.array(keys, dtype=np.int64)
+    if keys.ndim == 1:
+        keys = keys[:, None]
+    keys[:, :1] += seed.n_children_spawned
+    if keys.size and (keys.min() < 0 or keys.max() >= (1 << 32) - 1):
+        raise ValueError("SeedSequence counts its children in a uint32; child indices must lie in [0, 2^32 - 1)")
+    pool_size = seed.pool_size
+    run_words, key_words = _entropy_words(seed.entropy), _entropy_words(seed.spawn_key)
     if key_words:
         run_words = max(run_words, pool_size)
-    # The root hashed each pool word once, each ordered pair of pool words
+    # The seed hashed each pool word once, each ordered pair of pool words
     # once, and each entropy word past the pool once per pool word.
     hash_const = INIT_A * pow(MULT_A, pool_size * max(pool_size, run_words + key_words), 1 << 32) % (1 << 32)
-    # Row r of sibling j's run is child first + start[j] + (r - rows before j).
-    total = int(counts.sum())
-    index = (np.arange(total) + np.repeat(first + starts - (np.cumsum(counts) - counts), counts)).astype(np.uint32)
-    mixer = np.repeat(np.array([s.pool for s in seeds]), counts, axis=0)
-    for dst in range(pool_size):
-        value = index ^ np.uint32(hash_const)
-        hash_const = hash_const * MULT_A % (1 << 32)
-        value *= np.uint32(hash_const)
-        value ^= value >> XSHIFT
-        mixed = np.uint32(MIX_MULT_L) * mixer[:, dst] - np.uint32(MIX_MULT_R) * value
-        mixer[:, dst] = mixed ^ mixed >> XSHIFT
+    mixer = np.tile(seed.pool, (len(keys), 1))
+    for column in keys.astype(np.uint32).T:
+        for dst in range(pool_size):
+            value = column ^ np.uint32(hash_const)
+            hash_const = hash_const * MULT_A % (1 << 32)
+            value *= np.uint32(hash_const)
+            value ^= value >> XSHIFT
+            mixed = np.uint32(MIX_MULT_L) * mixer[:, dst] - np.uint32(MIX_MULT_R) * value
+            mixer[:, dst] = mixed ^ mixed >> XSHIFT
     # generate_state(4, uint64) hashes 8 uint32 words read cyclically from
     # the pool and pairs them low word first.
-    state = np.empty((total, 8), dtype=np.uint32)
+    state = np.empty((len(keys), 8), dtype=np.uint32)
     hash_const = INIT_B
     for i in range(8):
         value = mixer[:, i % pool_size] ^ np.uint32(hash_const)

@@ -405,11 +405,13 @@ def reference_crosscheck_tv(circuit, a_string: str, shots: int, seed) -> float:
     """Total-variation distance between a parity circuit's samples and the
     eta = 0 oracle's samples, both keyed 'query:result' one sample at a time.
 
-    Seeds split as in the package: the first spawned child samples the
+    Seeds split as in the package: the first spawned child of ``seed``
+    (spawned from ``seed`` itself when it is a SeedSequence) samples the
     circuit, the second the oracle. The circuit's first measured qubit is
     the result qubit.
     """
-    circuit_seed, oracle_seed = np.random.SeedSequence(seed).spawn(2)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    circuit_seed, oracle_seed = root.spawn(2)
     histogram = reference_sample(circuit, shots, circuit_seed)
     circuit_dist = {f"{key[1:]}:{key[0]}": count / shots for key, count in histogram.items()}
     oracle_counts: dict[str, int] = {}

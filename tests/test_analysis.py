@@ -14,6 +14,7 @@ from oracles import (
     majority_vote,
     reference_crosscheck_tv,
     reference_parity_perr,
+    reference_sample,
     validate_distribution,
 )
 from qghz.analysis import (
@@ -21,6 +22,7 @@ from qghz.analysis import (
     FidelityReport,
     bhattacharyya,
     circuit_oracle_crosscheck,
+    envariance_histograms,
     fidelity_experiment,
     frequencies,
     parity_learn,
@@ -28,10 +30,9 @@ from qghz.analysis import (
     perr_curve,
     two_peak_distribution,
 )
-from qghz._seed_words import SeedWords
-from qghz.circuits import OraclePattern, build_parity, effective_a
+from qghz.circuits import OraclePattern, build_envariance, build_parity, effective_a
 from qghz.coupling import bundled_map
-from qghz.simulator import NoisySampleConfig, spawn_seeds
+from qghz.simulator import NoisySampleConfig, SeedWords
 
 
 class TestBhattacharyya:
@@ -244,7 +245,8 @@ class TestPerrCurve:
     def test_zero_a_equals_literal_learner(self):
         queries, reps = [1, 2, 9, 40], 30
         outcomes = perr_curve(NoisySampleConfig(eta=0.3, a_string="000"), queries, reps, seed=6)
-        expected = [reference_parity_perr(0.3, "000", q, reps, s) for q, s in zip(queries, spawn_seeds(6, 4))]
+        children = np.random.SeedSequence(6).spawn(4)
+        expected = [reference_parity_perr(0.3, "000", q, reps, s) for q, s in zip(queries, children)]
         assert [o.p_err for o in outcomes] == expected
 
 
@@ -267,7 +269,8 @@ curve_repetitions = st.one_of(st.integers(1, 4), st.integers(BLOCK_SEEDS // 5, B
 def test_perr_curve_equals_parity_learn_per_count(queries, repetitions, seed, eta, a_string):
     """Blocks that span counts draw each repetition from the seed ``parity_learn`` would give it."""
     config = NoisySampleConfig(eta=eta, a_string=a_string)
-    expected = [parity_learn(config, q, repetitions, s) for q, s in zip(queries, spawn_seeds(seed, len(queries)))]
+    children = np.random.SeedSequence(seed).spawn(len(queries))
+    expected = [parity_learn(config, q, repetitions, s) for q, s in zip(queries, children)]
     assert perr_curve(config, queries, repetitions, seed) == expected
 
 
@@ -325,6 +328,27 @@ def test_crosscheck_equals_per_sample_reference(map_name, pattern):
     circuit, a_string = build_parity(cmap, path, oracle), effective_a(path, oracle)
     tv = circuit_oracle_crosscheck(circuit, a_string, shots=20_000, seed=3)
     assert tv == reference_crosscheck_tv(circuit, a_string, 20_000, seed=3)
+
+
+def test_a_seed_sequence_is_read_not_consumed():
+    """Every derived seed is a descendant ``spawn`` would make, and the seed passed is left as it was."""
+    def fresh():
+        return np.random.SeedSequence(2**130 + 17, spawn_key=(3, 2**40), n_children_spawned=2)
+
+    cmap = bundled_map("qx4")
+    path = path_for(cmap, 5)
+    envariance = build_envariance(cmap, path)
+    parity, a_string = build_parity(cmap, path, OraclePattern.HALF), effective_a(path, OraclePattern.HALF)
+    queries = [1, 4, 9]
+    seed = fresh()
+
+    expected = [reference_sample(envariance, 2048, child) for child in fresh().spawn(5)]
+    assert envariance_histograms(envariance, 2048, 5, seed) == expected
+    expected = reference_crosscheck_tv(parity, a_string, 4096, fresh())
+    assert circuit_oracle_crosscheck(parity, a_string, 4096, seed) == expected
+    expected = [reference_parity_perr(0.2, "101", q, 30, child) for q, child in zip(queries, fresh().spawn(3))]
+    assert [o.p_err for o in perr_curve(NoisySampleConfig(eta=0.2, a_string="101"), queries, 30, seed)] == expected
+    assert seed.n_children_spawned == 2
 
 
 def test_path_for_uses_highest_ranked_root():

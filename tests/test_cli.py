@@ -323,7 +323,7 @@ class TestRunBounds:
             raise AssertionError("the run started work before checking its bounds")
 
         monkeypatch.setattr("qghz.cli.resolve_map", fail)
-        monkeypatch.setattr("qghz.analysis.spawn_seeds", fail)
+        monkeypatch.setattr("qghz.analysis.child_seed_words", fail)
 
     @pytest.mark.parametrize("command", [
         ["envariance", "--map", "qx5", "-n", "3"],

@@ -45,7 +45,6 @@ from qghz.simulator import (
     oracle_draw_length,
     sample,
     sample_noisy_oracle,
-    spawn_seeds,
 )
 
 INV_SQRT2 = 2 ** -0.5
@@ -259,7 +258,7 @@ class TestSamplingMatchesFullWidthReference:
         cmap = bundled_map(map_name)
         circuit = build_envariance(cmap, create_path(cmap, 0 if map_name == "qx4" else 4, n))
         for seed in (0, 7, 11):
-            expected = [reference_sample(circuit, 8192, s) for s in spawn_seeds(seed, 10)]
+            expected = [reference_sample(circuit, 8192, s) for s in np.random.SeedSequence(seed).spawn(10)]
             assert envariance_histograms(circuit, 8192, 10, seed) == expected
 
     def test_loop_kernels_agree(self, rng):
@@ -541,15 +540,16 @@ root_specs = st.tuples(
 
 @settings(max_examples=200, deadline=None)
 @given(spec=root_specs, count=st.integers(0, 40), start=st.integers(0, 3),
-       siblings=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=1, max_size=4))
+       grandchildren=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 40)), max_size=8))
 # The last children SeedSequence can count in its uint32.
-@example(spec=(7, (2**32,), 4, 2**32 - 6), count=2, start=3, siblings=[(2, 3), (0, 0), (1, 2)])
-def test_child_seed_words_match_spawn(spec, count, start, siblings):
-    """Seed words equal the spawned children's PCG64 seed state, and the roots are left as passed.
+@example(spec=(7, (2**32,), 4, 2**32 - 6), count=2, start=3, grandchildren=[(4, 0), (0, 5), (2, 1)])
+def test_child_seed_words_match_spawn(spec, count, start, grandchildren):
+    """Seed words equal the spawned descendants' PCG64 seed state, and the root is left as passed.
 
-    One root is drawn from ``spec``; 1-4 sibling roots are the children of
-    one ``spawn`` of it, each with its own (count, start). If a numpy
-    upgrade changes SeedSequence's hash, entropy assembly or
+    One root is drawn from ``spec``. Depth-1 keys start..start+count-1 name
+    its children, checked against one ``spawn``; depth-2 keys (j, i) name
+    child i of its child j, checked against ``spawn`` of ``spawn``. If a
+    numpy upgrade changes SeedSequence's hash, entropy assembly or
     ``generate_state``, this fails.
     """
     entropy, spawn_key, pool_size, spawned = spec
@@ -558,53 +558,28 @@ def test_child_seed_words_match_spawn(spec, count, start, siblings):
         return np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size,
                                       n_children_spawned=spawned)
 
-    def states(root, count, start):
-        return [child.generate_state(4, np.uint64) for child in root.spawn(start + count)[start:]]
+    def expect(states):
+        return np.array(states, dtype=np.uint64).reshape(len(states), 4)
 
     root = fresh_root()
-    words = child_seed_words(root, count, start)
+    words = child_seed_words(root, np.arange(start, start + count))
     assert words.dtype == np.uint64 and words.shape == (count, 4)
-    assert np.array_equal(words, np.array(states(fresh_root(), count, start), dtype=np.uint64).reshape(count, 4))
+    children = fresh_root().spawn(start + count)[start:]
+    assert np.array_equal(words, expect([child.generate_state(4, np.uint64) for child in children]))
+
+    words = child_seed_words(root, np.array(grandchildren, dtype=np.int64).reshape(-1, 2))
+    grandchild_states = [fresh_root().spawn(j + 1)[j].spawn(i + 1)[i].generate_state(4, np.uint64)
+                         for j, i in grandchildren]
+    assert np.array_equal(words, expect(grandchild_states))
     assert root.n_children_spawned == spawned
-
-    roots = fresh_root().spawn(len(siblings))
-    counts, starts = zip(*siblings)
-    words = child_seed_words(roots, counts, starts)
-    expected = [w for sibling, (c, s) in zip(fresh_root().spawn(len(siblings)), siblings)
-                for w in states(sibling, c, s)]
-    assert words.shape == (sum(counts), 4)
-    assert np.array_equal(words, np.array(expected, dtype=np.uint64).reshape(sum(counts), 4))
-    assert [r.n_children_spawned for r in roots] == [0] * len(siblings)
-
-
-def test_child_seed_words_refuse_non_siblings():
-    first, second = np.random.SeedSequence(5).spawn(2)
-    assert child_seed_words([first, second], 1).shape == (2, 4)
-    with pytest.raises(ValueError, match="siblings"):
-        child_seed_words([first, np.random.SeedSequence(6).spawn(2)[1]], 1)
-    with pytest.raises(ValueError, match="siblings"):
-        child_seed_words([first, np.random.SeedSequence(5, spawn_key=(1,), n_children_spawned=3)], 1)
 
 
 def test_child_seed_words_stop_where_the_child_count_would_wrap():
+    # numpy's own spawn loops forever past child 2^32 - 2.
     root = np.random.SeedSequence(3, n_children_spawned=2**32 - 3)
-    assert child_seed_words(root, 2).shape == (2, 4)
-    with pytest.raises(ValueError, match="2\\^32"):
-        child_seed_words(root, 3)
-
-
-def test_spawn_seeds_stop_where_the_child_count_would_wrap():
-    # numpy's own spawn loops forever here; the check must raise before it.
-    root = np.random.SeedSequence(0, n_children_spawned=2**32 - 2)
-    assert len(spawn_seeds(root, 1)) == 1
-    with pytest.raises(ValueError, match="2\\^32"):
-        spawn_seeds(root, 3)
-    assert root.n_children_spawned == 2**32 - 1
-
-
-def test_spawn_seeds_deterministic_and_distinct():
-    a = spawn_seeds(123, 5)
-    b = spawn_seeds(123, 5)
-    states = [tuple(s.generate_state(2)) for s in a]
-    assert states == [tuple(s.generate_state(2)) for s in b]
-    assert len(set(states)) == 5
+    assert child_seed_words(root, [0, 1]).shape == (2, 4)
+    assert child_seed_words(root, [[1, 2**32 - 2]]).shape == (1, 4)
+    for keys in ([0, 1, 2], [[0, 2**32 - 1]]):
+        with pytest.raises(ValueError, match="2\\^32"):
+            child_seed_words(root, keys)
+    assert root.n_children_spawned == 2**32 - 3
