@@ -25,7 +25,6 @@ from .circuits import (
     emit_qasm,
     measured_circuit,
     verify_legality,
-    with_measurements,
 )
 from .coupling import (
     CouplingMap,
@@ -49,8 +48,6 @@ _LAZY = {
     "FidelityReport": "analysis",
     "LearningOutcome": "analysis",
     "bhattacharyya": "analysis",
-    "fidelity_experiment": "analysis",
-    "parity_learn": "analysis",
     "perr_curve": "analysis",
     "two_peak_distribution": "analysis",
     "NoisySampleConfig": "simulator",

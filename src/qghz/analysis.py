@@ -1,16 +1,18 @@
-"""Measured quantities: histogram fidelity and the parity learner.
+"""Measured quantities: the envariance fidelity and the parity learning curve.
 
-Fidelity side: the Bhattacharyya coefficient between a sampled histogram
-and the theoretical two-peak GHZ distribution, averaged over repetitions
-with a 95% confidence half-width of 1.96 * s / sqrt(m).
+Fidelity side: ``envariance_histograms`` samples one histogram per
+repetition; the caller scores each one's ``frequencies`` by its
+Bhattacharyya coefficient against the theoretical two-peak GHZ
+distribution, and ``fidelity_report`` averages those with a 95% confidence
+half-width of 1.96 * s / sqrt(m).
 
-Learner side: repeated runs that query the noisy oracle, postselect on
-result bit 1, take a bitwise majority vote of the kept query strings, and
-count the run as a failure when the vote misses the encoded string. The
-error probability is the failure fraction. Votes that tie (or votes over
-an empty postselection) resolve to 0 bits, which makes the noiseless law
-exact: with a != 0^n the only failure mode at eta = 0 is drawing zero
-result-1 samples, probability 2^-N.
+Learner side: ``perr_curve`` is the one learner. Each repetition queries
+the noisy oracle, postselects on result bit 1, takes a bitwise majority
+vote of the kept query strings, and counts as a failure when the vote
+misses the encoded string. The error probability is the failure fraction.
+Votes that tie (or votes over an empty postselection) resolve to 0 bits,
+which makes the noiseless law exact: with a != 0^n the only failure mode at
+eta = 0 is drawing zero result-1 samples, probability 2^-N.
 
 Every kept query is either 0^n or a, so two counts decide the vote: each
 bit where a is 1 gets the votes of the kept a queries, each bit where a is
@@ -21,17 +23,15 @@ the kept 0^n queries the noisy, non-carrying ones; their difference is
 (queries carrying a) - (noisy queries), since the queries that are both
 cancel. So a repetition fails iff a != 0^n and at most as many of its
 queries carry a as are noisy. The learner never builds the strings or a
-count table. ``perr_curve`` walks its (query count, repetition) rows in
-blocks of at most ``BLOCK_SEEDS`` rows that may span several counts, and
-``parity_learn`` is the one-count case of the same loop. Per block it
+count table. It walks its (query count, repetition) rows in blocks of at
+most ``BLOCK_SEEDS`` rows that may span several counts. Per block it
 derives every row's PCG64 seed words in one ``simulator.child_seed_words``
-pass, keyed (count, repetition) for the curve and by repetition alone for
-``parity_learn`` (the same words as spawning those descendants, without
-spawning them); then, for each count, it fills one row of raw PCG64
-outputs per repetition, at most ``BLOCK_OUTPUTS`` outputs at a time,
-decodes them with ``simulator.decode_oracle_draws`` and counts both flags
-per row in one numpy pass. For a = 0^n it returns p_err = 0 at once,
-since no repetition can fail.
+pass keyed (count, repetition) (the same words as spawning those
+descendants, without spawning them); then, for each count, it fills one
+row of raw PCG64 outputs per repetition, at most ``BLOCK_OUTPUTS`` outputs
+at a time, decodes them with ``simulator.decode_oracle_draws`` and counts
+both flags per row in one numpy pass. For a = 0^n it returns p_err = 0 at
+once, since no repetition can fail.
 
 Seeds: each function takes an int or a SeedSequence and draws every
 repetition with a descendant's seed words from
@@ -48,9 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, build_envariance
-from .coupling import CouplingMap
-from .paths import path_for
+from .circuits import Circuit
 from .simulator import (
     Histogram,
     NoisySampleConfig,
@@ -114,24 +112,12 @@ def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) 
             for words in child_seed_words(seed, np.arange(repetitions))]
 
 
-def b_per_repetition(histograms: list[Histogram], n: int) -> list[float]:
-    """Bhattacharyya fidelity of each histogram against the two-peak ideal."""
-    ideal = two_peak_distribution(n)
-    return [bhattacharyya(frequencies(h), ideal) for h in histograms]
-
-
 def fidelity_report(b_values: list[float]) -> FidelityReport:
     """Average the per-repetition fidelities; I95 = 1.96 s / sqrt(m), 0 for m = 1."""
     values = np.array(b_values)
     m = len(values)
     i95 = 0.0 if m == 1 else 1.96 * float(np.std(values, ddof=1)) / math.sqrt(m)
     return FidelityReport(b_mean=float(values.mean()), i95=i95, repetitions=m)
-
-
-def fidelity_experiment(cmap: CouplingMap, n: int, shots: int, repetitions: int, seed) -> FidelityReport:
-    """Sample the envariance circuit ``repetitions`` times and report B and I95."""
-    circuit = build_envariance(cmap, path_for(cmap, n))
-    return fidelity_report(b_per_repetition(envariance_histograms(circuit, shots, repetitions, seed), n))
 
 
 @dataclass(frozen=True)
@@ -142,39 +128,18 @@ class LearningOutcome:
     effective_a: str
 
 
-def parity_learn(config: NoisySampleConfig, queries: int, repetitions: int, seed) -> LearningOutcome:
-    """Failure fraction of the postselect-and-vote learner over ``repetitions`` runs.
-
-    Repetition i draws the oracle as ``sample_noisy_oracle`` would with
-    child i of ``seed``. For a = 0^n p_err is 0 and nothing is drawn.
-    """
-    return _learn(config, [queries], repetitions, seed, curve=False)[0]
-
-
 def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) -> list[LearningOutcome]:
-    """One learning outcome per query count, with independent derived seeds.
+    """Learning outcome of each query count; count j's repetition i draws with grandchild (j, i) of ``seed``.
 
-    Equals ``parity_learn(config, q, repetitions, s)`` for the j-th count q
-    and ``s`` child j of ``seed``, but derives the seed words of every
-    count's repetitions in blocks that span counts.
+    The (count, repetition) rows are walked in order, ``BLOCK_SEEDS`` at a
+    time: one ``child_seed_words`` pass per block, whose rows may belong to
+    several counts, then each count's rows are drawn and scored at most
+    ``BLOCK_OUTPUTS`` raw outputs at a time. The counts are checked before
+    anything is drawn. For a = 0^n p_err is 0 and nothing is drawn.
     """
     queries_list = list(queries_list)
     if not queries_list:
         raise ValueError("queries_list is empty")
-    return _learn(config, queries_list, repetitions, seed, curve=True)
-
-
-def _learn(config: NoisySampleConfig, queries_list: list[int], repetitions: int, seed,
-           curve: bool) -> list[LearningOutcome]:
-    """Learning outcome of each query count; count j's repetition i draws with grandchild (j, i) of ``seed``.
-
-    Without ``curve`` there is one count, and repetition i draws with child
-    i. The (count, repetition) rows are walked in order, ``BLOCK_SEEDS`` at
-    a time: one ``child_seed_words`` pass per block, whose rows may belong
-    to several counts, then each count's rows are drawn and scored at most
-    ``BLOCK_OUTPUTS`` raw outputs at a time. The counts are checked before
-    anything is drawn.
-    """
     if min(queries_list) < 1 or repetitions < 1:
         raise ValueError("queries and repetitions must be positive")
     # Built even for a = 0^n, so a bad seed raises whatever a is.
@@ -185,7 +150,7 @@ def _learn(config: NoisySampleConfig, queries_list: list[int], repetitions: int,
         total = len(queries_list) * repetitions
         for block in range(0, total, BLOCK_SEEDS):
             count, rep = divmod(np.arange(block, min(block + BLOCK_SEEDS, total)), repetitions)
-            words = child_seed_words(root, np.column_stack((count, rep)) if curve else rep)
+            words = child_seed_words(root, np.column_stack((count, rep)))
             # count is sorted, so each count's rows are one run of the block.
             for j, rows in enumerate(np.split(words, np.flatnonzero(np.diff(count)) + 1), int(count[0])):
                 queries = queries_list[j]

@@ -1,16 +1,18 @@
 """Hardware-legal circuit construction and OpenQASM 2.0 emission.
 
-Builders take a CouplingMap plus a ConnectionPath and return gate lists
-that only ever use CNOTs along available directed edges. A logical CNOT
-against the edge direction becomes an inverse-CNOT: the available CNOT
-sandwiched between Hadamards on both qubits. No peephole cancellation is
-performed afterwards, so emitted circuits stay structurally auditable.
+Each experiment has one builder: ``build_ghz``, ``build_envariance`` or
+``build_parity`` takes a CouplingMap plus a ConnectionPath and returns the
+measured circuit, whose CNOTs all run along available directed edges. A
+logical CNOT against the edge direction becomes an inverse-CNOT: the
+available CNOT sandwiched between Hadamards on both qubits. No peephole
+cancellation is performed afterwards, so emitted circuits stay
+structurally auditable.
 
 Three circuit families:
 
 * GHZ: H on the root, then one logical CNOT per path pair with the
   already-entangled anchor as control, spreading (|0..0> + |1..1>)/sqrt(2)
-  over the involved qubits.
+  over the involved qubits, and measurements.
 * Envariance demonstration: the GHZ prefix, an X layer on the first half of
   the involved qubits (the "system"), an X layer on the rest (the
   "environment"), and measurements. The two X layers compose to a global
@@ -165,11 +167,6 @@ def ghz_gates(cmap: CouplingMap, path: ConnectionPath) -> list[Gate]:
     return gates
 
 
-def build_ghz(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
-    """GHZ preparation circuit; measurement gates are left to callers."""
-    return Circuit(width=cmap.num_qubits, gates=tuple(ghz_gates(cmap, path)))
-
-
 def measured_circuit(width: int, gates: list[Gate], qubits) -> Circuit:
     """Circuit of ``gates`` plus terminal measurements mapping the i-th listed qubit to bit i.
 
@@ -180,9 +177,9 @@ def measured_circuit(width: int, gates: list[Gate], qubits) -> Circuit:
     return Circuit(width=width, gates=tuple(gates), measured_qubits=qubits)
 
 
-def with_measurements(circuit: Circuit, qubits) -> Circuit:
-    """Append terminal measurements mapping the i-th listed qubit to bit i."""
-    return measured_circuit(circuit.width, list(circuit.gates), qubits)
+def build_ghz(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
+    """GHZ preparation over the involved qubits, then measure them in involved order."""
+    return measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), path.involved())
 
 
 def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:

@@ -35,12 +35,11 @@ from .circuits import (
     IllegalCouplingError,
     OraclePattern,
     build_envariance,
+    build_ghz,
     build_parity,
     circuit_to_json_dict,
     effective_a,
     emit_qasm,
-    ghz_gates,
-    measured_circuit,
     verify_legality,
 )
 from .coupling import MapFormatError, most_connected, rank_all, resolve_map
@@ -163,10 +162,7 @@ def _compiled(cmap, experiment: str, n: int, pattern: str | None):
         if n > cmap.num_qubits:
             raise UsageError(f"{experiment} with -n {n} needs {n} qubits; map {cmap.name} has {cmap.num_qubits}")
         path = path_for(cmap, n)
-        if experiment == "ghz":
-            circuit = measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), path.involved())
-        else:
-            circuit = build_envariance(cmap, path)
+        circuit = (build_ghz if experiment == "ghz" else build_envariance)(cmap, path)
     violations = verify_legality(cmap, circuit)
     if violations:
         raise RuntimeError("compiler produced an illegal circuit: " + "; ".join(violations))
@@ -193,7 +189,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_envariance(args) -> int:
-    from .analysis import b_per_repetition, envariance_histograms, fidelity_report, frequencies
+    from .analysis import bhattacharyya, envariance_histograms, fidelity_report, frequencies, two_peak_distribution
 
     if args.n < 2:
         raise UsageError(f"envariance needs at least two qubits to compare, got -n {args.n}")
@@ -204,9 +200,10 @@ def _cmd_envariance(args) -> int:
     cmap = resolve_map(args.map)
     circuit, _, _, qasm = _compiled(cmap, "envariance", args.n, None)
     histograms = envariance_histograms(circuit, args.shots, args.reps, args.seed)
-    b_values = b_per_repetition(histograms, args.n)
-    report = fidelity_report(b_values)
     freq_maps = [frequencies(h) for h in histograms]
+    ideal = two_peak_distribution(args.n)
+    b_values = [bhattacharyya(f, ideal) for f in freq_maps]
+    report = fidelity_report(b_values)
     keys = sorted({k for f in freq_maps for k in f})
     averaged = {k: sum(f.get(k, 0.0) for f in freq_maps) / len(freq_maps) for k in keys}
     parameters = {"n": args.n, "shots": args.shots, "repetitions": args.reps, "seed": args.seed}

@@ -1,9 +1,10 @@
 """Exact outcome distributions by stabilizer tableau, shot sampling, and the noisy parity oracle.
 
 Every circuit here is h/x/cnot applied to |0...0>, then measured once at
-circuit end. Such a circuit's measured outcomes are uniform over an affine
-subspace of GF(2)^k: each of its 2^r outcomes has probability exactly 2^-r
-(Dehaene and De Moor 2003; Aaronson and Gottesman 2004, "CHP").
+circuit end, as each experiment's one builder in ``circuits`` returns it.
+Such a circuit's measured outcomes are uniform over an affine subspace of
+GF(2)^k: each of its 2^r outcomes has probability exactly 2^-r (Dehaene
+and De Moor 2003; Aaronson and Gottesman 2004, "CHP").
 ``outcome_keys`` finds them without evolving 2^k amplitudes. It keeps only
 the m stabilizers of the state, stored by column as in Stim (Gidney 2021):
 one Python int per qubit for the x bits, one for the z bits, and one for
@@ -41,11 +42,12 @@ restates numpy's SeedSequence hash (O'Neill's seed_seq mixing) in one numpy
 uint32 pass from the seed's pool, one key column per level, and spawns
 nothing; ``SeedWords`` hands one row to ``PCG64``. So a SeedSequence seed
 is read, not consumed: it is left as it was passed. The noisy parity oracle
-reads raw PCG64 outputs (``random_raw``) instead of a Generator: a draw of
-q queries reads ``oracle_draw_length(q)`` = q + ceil(q/2) 64-bit outputs.
-Output i < q makes query i noisy iff it is below ceil(eta * 2^53) << 11,
-which is exactly ``Generator.random() < eta`` (``random`` keeps the top 53
-bits). The next ceil(q/2) outputs, split into 32-bit halves with the low
+and the one learner, ``analysis.perr_curve``, read raw PCG64 outputs
+(``random_raw``) instead of a Generator: a draw of q queries reads
+``oracle_draw_length(q)`` = q + ceil(q/2) 64-bit outputs. Output i < q
+makes query i noisy iff it is below ceil(eta * 2^53) << 11, which is
+exactly ``Generator.random() < eta`` (``random`` keeps the top 53 bits).
+The next ceil(q/2) outputs, split into 32-bit halves with the low
 half first, give query i's carry bit as the top bit of half i, which is
 exactly ``Generator.integers(0, 2, dtype=int64)``: that draws 32-bit halves
 low half first, and Lemire's method never rejects for a range of 2 (O'Neill
@@ -271,9 +273,8 @@ class SeedWords(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if dtype is np.uint64 and n_words == 4:  # what PCG64.__init__ asks, once per row
-            return self.words
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64.__init__ passes np.uint64 itself, once per row, so no dtype is built for it.
+        if (dtype is not np.uint64 and np.dtype(dtype) != np.uint64) or n_words != 4:
             raise ValueError(f"holds only the 4 uint64 words PCG64 asks for, not {n_words} of {np.dtype(dtype)}")
         return self.words
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from conftest import random_connected_map, random_digraph
 from oracles import binomial_4sigma, closure_ranks, exact_perr, run_exact
-from qghz.analysis import circuit_oracle_crosscheck, parity_learn, path_for
+from qghz.analysis import circuit_oracle_crosscheck, perr_curve
 from qghz.circuits import (
     CNOT,
     OraclePattern,
@@ -25,7 +25,7 @@ from qghz.circuits import (
 )
 from qghz.cli import main as cli_main
 from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
-from qghz.paths import create_path
+from qghz.paths import create_path, path_for
 from qghz.simulator import NoisySampleConfig
 
 INV_SQRT2 = 2 ** -0.5
@@ -148,11 +148,12 @@ def test_criterion_06_gate_count_audit():
             ok = (
                 counts.get(CNOT, 0) == n - 1
                 and counts.get("h", 0) == 1 + 4 * reversed_pairs
-                and len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs
+                and counts.get("measure", 0) == n
+                and len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs + n
             )
             if not ok:
                 _report(6, "gate-count audit", False, f"{map_name} n={n}: {counts}")
-    _report(6, "gate-count audit", True, "1 + (n-1) logical gates, +4 H per reversed pair")
+    _report(6, "gate-count audit", True, "1 + (n-1) logical gates, +4 H per reversed pair, n measurements")
 
 
 def test_criterion_07_parity_noiseless_law():
@@ -161,7 +162,7 @@ def test_criterion_07_parity_noiseless_law():
     worst_pull = 0.0
     for queries in range(1, 9):
         config = NoisySampleConfig(eta=0.0, a_string="111")
-        outcome = parity_learn(config, queries, reps, seed=700 + queries)
+        outcome = perr_curve(config, [queries], reps, seed=700 + queries)[0]
         expected = 2.0**-queries
         band = binomial_4sigma(expected, reps)
         worst_pull = max(worst_pull, abs(outcome.p_err - expected) / band)
@@ -180,7 +181,7 @@ def test_criterion_08_parity_noisy_oracle_equivalence():
         for queries in range(1, 9):
             for n in (1, 2, 3):
                 config = NoisySampleConfig(eta=eta, a_string="1" * n)
-                outcome = parity_learn(config, queries, reps, seed=8000 + combos)
+                outcome = perr_curve(config, [queries], reps, seed=8000 + combos)[0]
                 expected = exact_perr(eta, queries)
                 band = binomial_4sigma(expected, reps)
                 combos += 1

@@ -23,15 +23,14 @@ from qghz.analysis import (
     bhattacharyya,
     circuit_oracle_crosscheck,
     envariance_histograms,
-    fidelity_experiment,
+    fidelity_report,
     frequencies,
-    parity_learn,
-    path_for,
     perr_curve,
     two_peak_distribution,
 )
 from qghz.circuits import OraclePattern, build_envariance, build_parity, effective_a
 from qghz.coupling import bundled_map
+from qghz.paths import path_for
 from qghz.simulator import NoisySampleConfig, SeedWords
 
 
@@ -108,17 +107,19 @@ class TestMajorityVote:
 
 
 class TestParityLearn:
+    """The learner at one query count: ``perr_curve(config, [queries], repetitions, seed)[0]``."""
+
     def test_noiseless_all_ones_matches_closed_form(self):
         # only failure mode at eta = 0: zero postselected samples (prob 2^-N)
         config = NoisySampleConfig(eta=0.0, a_string="1" * 3)
         reps = 10_000
-        outcome = parity_learn(config, queries=10, repetitions=reps, seed=17)
+        outcome = perr_curve(config, [10], reps, seed=17)[0]
         expected = 2.0**-10
         assert abs(outcome.p_err - expected) < binomial_4sigma(expected, reps)
 
     def test_noiseless_all_zeros_never_fails(self):
         config = NoisySampleConfig(eta=0.0, a_string="00")
-        outcome = parity_learn(config, queries=1, repetitions=500, seed=3)
+        outcome = perr_curve(config, [1], 500, seed=3)[0]
         assert outcome.p_err == 0.0
 
     def test_noisy_matches_enumeration_oracle(self):
@@ -127,12 +128,12 @@ class TestParityLearn:
         assert expected == pytest.approx(0.29998779296875, abs=1e-15)
         config = NoisySampleConfig(eta=0.25, a_string="11")
         reps = 10_000
-        outcome = parity_learn(config, queries=5, repetitions=reps, seed=29)
+        outcome = perr_curve(config, [5], reps, seed=29)[0]
         assert abs(outcome.p_err - expected) < binomial_4sigma(expected, reps)
 
     def test_outcome_fields(self):
         config = NoisySampleConfig(eta=0.1, a_string="101")
-        outcome = parity_learn(config, queries=4, repetitions=50, seed=1)
+        outcome = perr_curve(config, [4], 50, seed=1)[0]
         assert outcome.queries == 4
         assert outcome.repetitions == 50
         assert outcome.effective_a == "101"
@@ -140,17 +141,19 @@ class TestParityLearn:
 
     def test_determinism(self):
         config = NoisySampleConfig(eta=0.2, a_string="11")
-        assert parity_learn(config, 5, 200, seed=8) == parity_learn(config, 5, 200, seed=8)
+        assert perr_curve(config, [5], 200, seed=8) == perr_curve(config, [5], 200, seed=8)
 
     @pytest.mark.parametrize("a_string", ["1", "0", "000", "01", "1010", "0110", "1111111"])
     def test_equals_literal_postselect_and_vote_learner(self, a_string):
-        # counts decide the vote exactly: same failures as voting over the spelled-out samples
+        # counts decide the vote exactly: same failures as voting over the spelled-out samples;
+        # the one count's repetitions are the children of the seed's child 0
         for eta in (0.0, 0.1, 0.25, 0.4, 0.49):
             config = NoisySampleConfig(eta=eta, a_string=a_string)
             for queries in (1, 2, 3, 5, 17, 200):
                 for seed in (0, 1, 12):
-                    outcome = parity_learn(config, queries, repetitions=20, seed=seed)
-                    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, 20, seed)
+                    outcome = perr_curve(config, [queries], repetitions=20, seed=seed)[0]
+                    child = np.random.SeedSequence(seed).spawn(1)[0]
+                    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, 20, child)
 
     @pytest.mark.parametrize("a_string", ["11", "00"])
     def test_memory_does_not_grow_with_repetitions(self, a_string):
@@ -158,10 +161,10 @@ class TestParityLearn:
         # spawning all 10000 SeedSequence children at once would peak at
         # 3.6 MB (about 376 B each).
         config = NoisySampleConfig(eta=0.1, a_string=a_string)
-        parity_learn(config, 1, 300, seed=3)  # first-call allocations stay out of the peak
+        perr_curve(config, [1], 300, seed=3)  # first-call allocations stay out of the peak
         tracemalloc.start()
         try:
-            parity_learn(config, 1, 10_000, seed=3)
+            perr_curve(config, [1], 10_000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,7 +179,7 @@ class TestParityLearn:
         monkeypatch.setattr("qghz.analysis.child_seed_words", no_draws)
         seed = np.random.SeedSequence(41, n_children_spawned=2)
         reps = 2 * BLOCK_SEEDS + 3
-        outcome = parity_learn(NoisySampleConfig(eta=0.3, a_string=a_string), 7, reps, seed)
+        outcome = perr_curve(NoisySampleConfig(eta=0.3, a_string=a_string), [7], reps, seed)[0]
         assert outcome.p_err == 0.0
         assert seed.n_children_spawned == 2
 
@@ -192,9 +195,9 @@ class TestParityLearn:
     def test_rejects_bad_counts(self):
         config = NoisySampleConfig(eta=0.0, a_string="1")
         with pytest.raises(ValueError):
-            parity_learn(config, 0, 10, seed=0)
+            perr_curve(config, [0], 10, seed=0)
         with pytest.raises(ValueError):
-            parity_learn(config, 1, 0, seed=0)
+            perr_curve(config, [1], 0, seed=0)
 
 
 class TestPerrCurve:
@@ -218,7 +221,7 @@ class TestPerrCurve:
 
     @pytest.mark.parametrize("a_string", ["11", "00"])
     def test_memory_does_not_grow_with_repetitions(self, a_string):
-        # As parity_learn's: a seed-word block of BLOCK_SEEDS rows and its raw
+        # As at one count: a seed-word block of BLOCK_SEEDS rows and its raw
         # outputs are held at a time, whatever the curve's row count.
         config = NoisySampleConfig(eta=0.1, a_string=a_string)
         perr_curve(config, [1, 3], 300, seed=3)  # first-call allocations stay out of the peak
@@ -266,33 +269,49 @@ curve_repetitions = st.one_of(st.integers(1, 4), st.integers(BLOCK_SEEDS // 5, B
 @example(queries=[5, 2100, 1], repetitions=400, seed=0, eta=0.25, a_string="101")
 @example(queries=[1, 3], repetitions=BLOCK_SEEDS + 1, seed=1, eta=0.0, a_string="1")
 @example(queries=[7, 9], repetitions=300, seed=2, eta=0.1, a_string="000")
-def test_perr_curve_equals_parity_learn_per_count(queries, repetitions, seed, eta, a_string):
-    """Blocks that span counts draw each repetition from the seed ``parity_learn`` would give it."""
+def test_perr_curve_equals_one_count_curves(queries, repetitions, seed, eta, a_string):
+    """Count j of a curve equals a one-count curve seeded with the root after j more children.
+
+    That seed's child 0 is the root's child j, so its one-count curve draws
+    repetition i with the root's grandchild (j, i), as the curve's blocks,
+    which span counts, must.
+    """
     config = NoisySampleConfig(eta=eta, a_string=a_string)
-    children = np.random.SeedSequence(seed).spawn(len(queries))
-    expected = [parity_learn(config, q, repetitions, s) for q, s in zip(queries, children)]
-    assert perr_curve(config, queries, repetitions, seed) == expected
+    root = np.random.SeedSequence(seed)
+    expected = [perr_curve(config, [q], repetitions,
+                           np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size,
+                                                  n_children_spawned=root.n_children_spawned + j))[0]
+                for j, q in enumerate(queries)]
+    assert perr_curve(config, queries, repetitions, root) == expected
+
+
+def envariance_fidelity(map_name: str, n: int, shots: int, repetitions: int, seed) -> FidelityReport:
+    """B and I95 of the envariance circuit on ``map_name``, by the steps ``qghz envariance`` takes."""
+    cmap = bundled_map(map_name)
+    histograms = envariance_histograms(build_envariance(cmap, path_for(cmap, n)), shots, repetitions, seed)
+    ideal = two_peak_distribution(n)
+    return fidelity_report([bhattacharyya(frequencies(h), ideal) for h in histograms])
 
 
 class TestFidelityExperiment:
     def test_noiseless_qx4_close_to_one(self):
-        report = fidelity_experiment(bundled_map("qx4"), n=5, shots=8192, repetitions=10, seed=0)
+        report = envariance_fidelity("qx4", n=5, shots=8192, repetitions=10, seed=0)
         assert report.b_mean >= 0.999
         assert report.i95 >= 0.0
         assert report.repetitions == 10
 
     def test_single_repetition_has_zero_interval(self):
-        report = fidelity_experiment(bundled_map("qx4"), n=2, shots=1024, repetitions=1, seed=0)
+        report = envariance_fidelity("qx4", n=2, shots=1024, repetitions=1, seed=0)
         assert report.i95 == 0.0
         assert isinstance(report, FidelityReport)
 
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError):
-            fidelity_experiment(bundled_map("qx4"), n=1, shots=10, repetitions=2, seed=0)
+            envariance_fidelity("qx4", n=1, shots=10, repetitions=2, seed=0)
 
     def test_deterministic_given_seed(self):
-        a = fidelity_experiment(bundled_map("qx4"), n=3, shots=2048, repetitions=4, seed=9)
-        b = fidelity_experiment(bundled_map("qx4"), n=3, shots=2048, repetitions=4, seed=9)
+        a = envariance_fidelity("qx4", n=3, shots=2048, repetitions=4, seed=9)
+        b = envariance_fidelity("qx4", n=3, shots=2048, repetitions=4, seed=9)
         assert a == b
 
 

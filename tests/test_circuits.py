@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import random_connected_map
 from oracles import reparse_qasm
 from qghz import simulator
-from qghz.analysis import path_for
 from qghz.circuits import (
     CNOT,
     Circuit,
@@ -29,11 +28,10 @@ from qghz.circuits import (
     measure,
     measured_circuit,
     verify_legality,
-    with_measurements,
     x,
 )
 from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
-from qghz.paths import ConnectionPath, create_path
+from qghz.paths import ConnectionPath, create_path, path_for
 from qghz.simulator import exact_distribution
 
 BELL_MAP = CouplingMap(2, [(0, 1)])
@@ -90,7 +88,8 @@ class TestGateAndCircuitValidation:
         for new, anchor in path.pairs:
             rebuilt += [Gate("h", (anchor,)), Gate("h", (new,)), Gate("cnot", (new, anchor)),
                         Gate("h", (new,)), Gate("h", (anchor,))]
-        assert build_ghz(cmap, path) == Circuit(1108, tuple(rebuilt))
+        rebuilt += [Gate("measure", (q, i)) for i, q in enumerate(path.involved())]
+        assert build_ghz(cmap, path) == Circuit(1108, tuple(rebuilt), path.involved())
 
     def test_circuit_rejects_out_of_range_qubits(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -112,12 +111,17 @@ class TestGateAndCircuitValidation:
 class TestBuildGhz:
     def test_bell_pair(self):
         circuit = build_ghz(BELL_MAP, BELL_PATH)
-        assert circuit.gates == (h(0), cnot(0, 1))
-        assert circuit.measured_qubits == ()
+        assert circuit.gates == (h(0), cnot(0, 1), measure(0, 0), measure(1, 1))
+        assert circuit.measured_qubits == (0, 1)
 
-    def test_no_measure_gates(self):
-        circuit = build_ghz(bundled_map("qx5"), path_on(bundled_map("qx5"), 16))
-        assert all(g.kind != "measure" for g in circuit.gates)
+    def test_measures_the_involved_qubits_last(self):
+        cmap = bundled_map("qx5")
+        path = path_on(cmap, 16)
+        circuit = build_ghz(cmap, path)
+        involved = path.involved()
+        assert circuit.gates[:-16] == tuple(ghz_gates(cmap, path))
+        assert circuit.gates[-16:] == tuple(measure(q, i) for i, q in enumerate(involved))
+        assert circuit.measured_qubits == involved
 
     def test_logical_gate_count(self):
         # 1 root H + (n-1) logical CNOTs; inverse expansion adds 4 H each
@@ -129,7 +133,8 @@ class TestBuildGhz:
             counts = circuit.counts()
             assert counts[CNOT] == n - 1
             assert counts["h"] == 1 + 4 * reversed_pairs
-            assert len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs
+            assert counts["measure"] == n
+            assert len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs + n
 
     def test_chain_rooted_at_tail_uses_inverse_cnots(self):
         path = create_path(CHAIN, 2, 3)
@@ -138,6 +143,7 @@ class TestBuildGhz:
             h(2),
             h(2), h(1), cnot(1, 2), h(1), h(2),
             h(1), h(0), cnot(0, 1), h(0), h(1),
+            measure(2, 0), measure(1, 1), measure(0, 2),
         )
 
 
@@ -155,7 +161,7 @@ class TestBuildEnvariance:
         cmap = bundled_map("qx4")
         path = path_on(cmap, 5)
         circuit = build_envariance(cmap, path)
-        ghz_len = len(build_ghz(cmap, path).gates)
+        ghz_len = len(ghz_gates(cmap, path))
         tail = circuit.gates[ghz_len:]
         involved = path.involved()
         assert tail == tuple(
@@ -242,7 +248,7 @@ class TestVerifyLegality:
 
 class TestEmitQasm:
     def test_bell_text(self):
-        text = emit_qasm(build_ghz(BELL_MAP, BELL_PATH))
+        text = emit_qasm(Circuit(2, tuple(ghz_gates(BELL_MAP, BELL_PATH))))
         assert text == (
             "OPENQASM 2.0;\n"
             'include "qelib1.inc";\n'
@@ -252,7 +258,7 @@ class TestEmitQasm:
         )
 
     def test_measured_circuit_declares_creg(self):
-        circuit = with_measurements(build_ghz(BELL_MAP, BELL_PATH), (0, 1))
+        circuit = build_ghz(BELL_MAP, BELL_PATH)
         text = emit_qasm(circuit)
         assert "creg c[2];" in text
         assert "measure q[0] -> c[0];" in text
@@ -288,7 +294,7 @@ class TestEmitQasm:
             width, creg, ops = reparse_qasm(emit_qasm(circuit))
             assert (width, creg) == (1108, len(circuit.measured_qubits))
             assert ops == [(kinds[g.kind], *g.operands) for g in circuit.gates]
-        assert build_ghz(cmap, path).counts() == {"h": 1 + 4 * 1107, "cnot": 1107}
+        assert build_ghz(cmap, path).counts() == {"h": 1 + 4 * 1107, "cnot": 1107, "measure": 1108}
 
     def test_qx5_full_ghz_gate_audit(self):
         cmap = bundled_map("qx5")
@@ -303,10 +309,10 @@ class TestEmitQasm:
         assert len(h_lines) == 1 + 4 * reversed_pairs
 
 
-def test_with_measurements_appends_in_listed_order():
-    circuit = with_measurements(build_ghz(CHAIN, create_path(CHAIN, 2, 3)), (2, 1, 0))
-    assert circuit.measured_qubits == (2, 1, 0)
-    assert circuit.gates[-3:] == (measure(2, 0), measure(1, 1), measure(0, 2))
+def test_measured_circuit_appends_in_listed_order():
+    circuit = measured_circuit(3, ghz_gates(CHAIN, create_path(CHAIN, 2, 3)), (1, 0, 2))
+    assert circuit.measured_qubits == (1, 0, 2)
+    assert circuit.gates[-3:] == (measure(1, 0), measure(0, 1), measure(2, 2))
 
 
 @st.composite
@@ -339,10 +345,7 @@ def compiled_experiments(draw):
     if experiment in ("ghz", "envariance"):
         path = path_for(cmap, draw(st.integers(2, cmap.num_qubits)))
         involved = path.involved()
-        if experiment == "ghz":
-            circuit = measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), involved)
-        else:
-            circuit = build_envariance(cmap, path)
+        circuit = (build_ghz if experiment == "ghz" else build_envariance)(cmap, path)
         return cmap, experiment, circuit, ["0" * len(involved), "1" * len(involved)]
     path = path_for(cmap, draw(st.integers(1, cmap.num_qubits - 1)) + 1)
     expected = ["0" * len(path.involved()), "1" + effective_a(path, experiment)]

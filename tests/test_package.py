@@ -12,13 +12,11 @@ import pytest
 
 import qghz
 
-# Every name the package exported when it imported all its modules eagerly.
+# Every name the package exports, each the same object as in its own module.
 EXPORTS = {
-    "analysis": ("FidelityReport", "LearningOutcome", "bhattacharyya", "fidelity_experiment", "parity_learn",
-                 "perr_curve", "two_peak_distribution"),
+    "analysis": ("FidelityReport", "LearningOutcome", "bhattacharyya", "perr_curve", "two_peak_distribution"),
     "circuits": ("Circuit", "Gate", "IllegalCouplingError", "OraclePattern", "build_envariance", "build_ghz",
-                 "build_parity", "cnot_legal", "effective_a", "emit_qasm", "measured_circuit", "verify_legality",
-                 "with_measurements"),
+                 "build_parity", "cnot_legal", "effective_a", "emit_qasm", "measured_circuit", "verify_legality"),
     "coupling": ("CouplingMap", "MapFormatError", "bundled_map", "line_map", "load_map", "load_map_file",
                  "most_connected", "rank_all", "resolve_map"),
     "paths": ("ConnectionPath", "UnreachableQubitsError", "create_path", "path_for"),
@@ -53,7 +51,7 @@ def test_every_export_resolves_from_a_fresh_import():
         "import importlib, json, sys, qghz\n"
         "assert 'qghz.simulator' not in sys.modules\n"
         "assert qghz.simulator is sys.modules['qghz.simulator'] and qghz.kernels is sys.modules['qghz.kernels']\n"
-        "assert qghz.analysis.path_for is qghz.path_for\n"
+        "assert qghz.analysis is sys.modules['qghz.analysis']\n"
         "for module, names in json.loads(sys.argv[1]).items():\n"
         "    for name in names:\n"
         "        assert getattr(qghz, name) is getattr(importlib.import_module('qghz.' + module), name), name\n"

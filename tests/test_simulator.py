@@ -21,7 +21,7 @@ from oracles import (
 )
 from test_coupling import cycle_grid_edges
 from qghz import simulator
-from qghz.analysis import BLOCK_OUTPUTS, BLOCK_SEEDS, envariance_histograms, parity_learn, path_for
+from qghz.analysis import BLOCK_OUTPUTS, BLOCK_SEEDS, envariance_histograms, perr_curve
 from qghz.circuits import (
     Circuit,
     OraclePattern,
@@ -30,13 +30,14 @@ from qghz.circuits import (
     build_parity,
     cnot,
     effective_a,
+    ghz_gates,
     h,
     measure,
-    with_measurements,
+    measured_circuit,
     x,
 )
 from qghz.coupling import CouplingMap, bundled_map, line_map
-from qghz.paths import create_path
+from qghz.paths import create_path, path_for
 from qghz.simulator import (
     MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
@@ -163,7 +164,7 @@ class TestSample:
 
     def test_requires_measurements(self):
         cmap = CouplingMap(2, [(0, 1)])
-        circuit = build_ghz(cmap, create_path(cmap, 0, 2))
+        circuit = Circuit(2, tuple(ghz_gates(cmap, create_path(cmap, 0, 2))))
         with pytest.raises(ValueError, match="measured"):
             sample(circuit, 10, seed=0)
 
@@ -190,8 +191,8 @@ class TestSample:
     def test_unmeasured_qubits_are_marginalized(self):
         # measure only the root of a Bell pair: uniform single bit
         cmap = CouplingMap(2, [(0, 1)])
-        ghz = build_ghz(cmap, create_path(cmap, 0, 2))
-        circuit = Circuit(width=2, gates=ghz.gates + (measure(0, 0),), measured_qubits=(0,))
+        ghz = ghz_gates(cmap, create_path(cmap, 0, 2))
+        circuit = Circuit(width=2, gates=(*ghz, measure(0, 0)), measured_qubits=(0,))
         dist = exact_distribution(circuit)
         assert dist == pytest.approx({"0": 0.5, "1": 0.5})
 
@@ -215,7 +216,7 @@ def random_circuit(rng, width: int, num_gates: int = 12) -> Circuit:
     idle = sorted(set(range(width)) - set(touched))
     if idle and rng.random() < 0.5:
         measured.insert(int(rng.integers(0, len(measured) + 1)), int(rng.choice(idle)))
-    return with_measurements(Circuit(width, tuple(gates)), measured)
+    return measured_circuit(width, gates, measured)
 
 
 def builder_circuits():
@@ -224,7 +225,7 @@ def builder_circuits():
         for n in sizes:
             path = create_path(cmap, 4 if name == "qx5" else 0, n)
             yield build_envariance(cmap, path)
-            yield with_measurements(build_ghz(cmap, path), path.involved())
+            yield build_ghz(cmap, path)
             if n > 2:
                 yield build_parity(cmap, path, OraclePattern.HALF)
 
@@ -281,7 +282,7 @@ class TestSamplingMatchesFullWidthReference:
     def test_involved_width_is_capped(self):
         # Each H qubit adds one random outcome: 21 of them would list 2^21 keys.
         width = MAX_SUPPORT_DIMENSION + 1
-        circuit = with_measurements(Circuit(width, tuple(h(q) for q in range(width))), range(width))
+        circuit = measured_circuit(width, [h(q) for q in range(width)], range(width))
         with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION"):
             sample(circuit, 10, seed=0)
 
@@ -306,10 +307,10 @@ class TestSamplingMatchesFullWidthReference:
             if rng.random() < 0.5:
                 gates.append(h(int(rng.integers(width))))
         with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION = 20"):
-            exact_distribution(with_measurements(Circuit(width, tuple(gates)), range(width)))
+            exact_distribution(measured_circuit(width, list(gates), range(width)))
         stopped = len(calls)
         calls.clear()
-        assert len(exact_distribution(with_measurements(Circuit(width, tuple(gates)), range(12)))) == 1 << 12
+        assert len(exact_distribution(measured_circuit(width, list(gates), range(12)))) == 1 << 12
         assert 0 < stopped < len(calls) // 20
 
     def test_involved_qubits_are_capped_before_the_tableau(self):
@@ -354,7 +355,7 @@ class TestClosedFormsAtWidth:
     def test_ghz_and_envariance_give_all_zeros_and_all_ones(self, name):
         cmap, path = placed_path(name)
         n = len(path.involved())
-        for circuit in (with_measurements(build_ghz(cmap, path), path.involved()), build_envariance(cmap, path)):
+        for circuit in (build_ghz(cmap, path), build_envariance(cmap, path)):
             assert list(exact_distribution(circuit).items()) == [("0" * n, 0.5), ("1" * n, 0.5)]
 
     @pytest.mark.parametrize("name", CLOSED_FORM_PATHS)
@@ -380,7 +381,7 @@ def clifford_circuits(draw) -> Circuit:
     length = draw(st.integers(0, 60))
     gates = draw(st.lists(gate, min_size=length, max_size=length))
     measured = draw(st.permutations(range(width)))[: draw(st.integers(1, width))]
-    return with_measurements(Circuit(width, tuple(gates)), measured)
+    return measured_circuit(width, gates, measured)
 
 
 class TestTableauMatchesStatevector:
@@ -389,7 +390,7 @@ class TestTableauMatchesStatevector:
     @given(clifford_circuits())
     # After cx(0, 1) h(0) one stabilizer is X0 Z1, which the second cx turns
     # into -Y0 Y1: only the CNOT's sign term gives outcomes 00 and 11.
-    @example(with_measurements(Circuit(2, (cnot(0, 1), h(0), cnot(0, 1))), (0, 1)))
+    @example(measured_circuit(2, [cnot(0, 1), h(0), cnot(0, 1)], (0, 1)))
     @settings(max_examples=300, deadline=None)
     def test_random_circuits(self, circuit):
         distribution = exact_distribution(circuit)
@@ -518,8 +519,10 @@ def test_raw_oracle_draws_match_the_generator(seed, queries, blocks, offset, eta
     block = max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // oracle_draw_length(queries)))
     repetitions = max(1, blocks * block + offset)
     root = fresh_seed(seed)
-    outcome = parity_learn(config, queries, repetitions, root)
-    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, repetitions, fresh_seed(seed))
+    outcome = perr_curve(config, [queries], repetitions, root)[0]
+    # The one count's repetitions are the children of the root's child 0.
+    child = (np.random.SeedSequence(seed) if isinstance(seed, int) else fresh_seed(seed)).spawn(1)[0]
+    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, repetitions, child)
     if not isinstance(seed, int):
         assert root.n_children_spawned == seed[2]
 
