@@ -30,7 +30,6 @@ from .coupling import (
     CouplingMap,
     MapFormatError,
     bundled_map,
-    line_map,
     load_map,
     load_map_file,
     most_connected,
@@ -45,13 +44,10 @@ _LAZY = {
     "analysis": None,
     "kernels": None,
     "simulator": None,
-    "FidelityReport": "analysis",
-    "LearningOutcome": "analysis",
     "bhattacharyya": "analysis",
     "perr_curve": "analysis",
     "two_peak_distribution": "analysis",
     "NoisySampleConfig": "simulator",
-    "exact_distribution": "simulator",
     "sample": "simulator",
     "sample_noisy_oracle": "simulator",
 }

@@ -1,50 +1,24 @@
 """Measured quantities: the envariance fidelity and the parity learning curve.
 
-Fidelity side: ``envariance_histograms`` samples one histogram per
-repetition; the caller scores each one's ``frequencies`` by its
-Bhattacharyya coefficient against the theoretical two-peak GHZ
-distribution, and ``fidelity_report`` averages those with a 95% confidence
-half-width of 1.96 * s / sqrt(m).
+``fidelity_report`` averages per-repetition Bhattacharyya coefficients
+against the two-peak GHZ distribution, with a 95% half-width of
+1.96 * s / sqrt(m). ``perr_curve`` is the one learner: a repetition
+postselects the oracle's draws on result bit 1 and votes bitwise, ties and
+empty postselections resolving to 0 bits, so at eta = 0 and a != 0^n it
+fails only on zero result-1 draws, probability 2^-N. It fails iff
+a != 0^n and at most as many of its queries carry a as are noisy (README
+"Library" derives this), so the learner counts those two flags and builds
+no query strings.
 
-Learner side: ``perr_curve`` is the one learner. Each repetition queries
-the noisy oracle, postselects on result bit 1, takes a bitwise majority
-vote of the kept query strings, and counts as a failure when the vote
-misses the encoded string. The error probability is the failure fraction.
-Votes that tie (or votes over an empty postselection) resolve to 0 bits,
-which makes the noiseless law exact: with a != 0^n the only failure mode at
-eta = 0 is drawing zero result-1 samples, probability 2^-N.
-
-Every kept query is either 0^n or a, so two counts decide the vote: each
-bit where a is 1 gets the votes of the kept a queries, each bit where a is
-0 gets none. The vote equals a iff a = 0^n or the kept a queries are a
-strict majority of the kept queries. A query is kept iff it carries a
-xor it is noisy, so the kept a queries are the carrying, noiseless ones and
-the kept 0^n queries the noisy, non-carrying ones; their difference is
-(queries carrying a) - (noisy queries), since the queries that are both
-cancel. So a repetition fails iff a != 0^n and at most as many of its
-queries carry a as are noisy. The learner never builds the strings or a
-count table. It walks its (query count, repetition) rows in blocks of at
-most ``BLOCK_SEEDS`` rows that may span several counts. Per block it
-derives every row's PCG64 seed words in one ``simulator.child_seed_words``
-pass keyed (count, repetition) (the same words as spawning those
-descendants, without spawning them); then, for each count, it fills one
-row of raw PCG64 outputs per repetition, at most ``BLOCK_OUTPUTS`` outputs
-at a time, decodes them with ``simulator.decode_oracle_draws`` and counts
-both flags per row in one numpy pass. For a = 0^n it returns p_err = 0 at
-once, since no repetition can fail.
-
-Seeds: each function takes an int or a SeedSequence and draws every
-repetition with a descendant's seed words from
-``simulator.child_seed_words``, the same as numpy's ``spawn`` would give.
-Envariance repetition i uses child i, the cross-check's circuit and oracle
-draws children 0 and 1, and the curve's count j, repetition i grandchild
-(j, i). A SeedSequence seed is read, not consumed: it is left as passed.
+Seeds are an int or a SeedSequence, read and not consumed. Envariance
+repetition i draws with child i, the cross-check's circuit and oracle with
+children 0 and 1, and the curve's count j, repetition i with grandchild
+(j, i), all through ``simulator.child_seed_words``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,13 +63,6 @@ def bhattacharyya(p: Distribution, q: Distribution) -> float:
     return sum(math.sqrt(p[key] * q[key]) for key in p.keys() & q.keys())
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    b_mean: float
-    i95: float
-    repetitions: int
-
-
 def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) -> list[Histogram]:
     """One sampled histogram per repetition of an envariance circuit.
 
@@ -112,24 +79,16 @@ def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) 
             for words in child_seed_words(seed, np.arange(repetitions))]
 
 
-def fidelity_report(b_values: list[float]) -> FidelityReport:
-    """Average the per-repetition fidelities; I95 = 1.96 s / sqrt(m), 0 for m = 1."""
+def fidelity_report(b_values: list[float]) -> tuple[float, float]:
+    """(b_mean, i95) of the per-repetition fidelities; I95 = 1.96 s / sqrt(m), 0 for m = 1."""
     values = np.array(b_values)
     m = len(values)
     i95 = 0.0 if m == 1 else 1.96 * float(np.std(values, ddof=1)) / math.sqrt(m)
-    return FidelityReport(b_mean=float(values.mean()), i95=i95, repetitions=m)
+    return float(values.mean()), i95
 
 
-@dataclass(frozen=True)
-class LearningOutcome:
-    p_err: float
-    queries: int
-    repetitions: int
-    effective_a: str
-
-
-def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) -> list[LearningOutcome]:
-    """Learning outcome of each query count; count j's repetition i draws with grandchild (j, i) of ``seed``.
+def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) -> list[float]:
+    """p_err of each query count, in order; count j's repetition i draws with grandchild (j, i) of ``seed``.
 
     The (count, repetition) rows are walked in order, ``BLOCK_SEEDS`` at a
     time: one ``child_seed_words`` pass per block, whose rows may belong to
@@ -164,8 +123,7 @@ def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) 
                     noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
                     # kept a queries - kept 0^n queries = carrying queries - noisy queries
                     failures[j] += int(np.count_nonzero(carries_a.sum(axis=1) <= noisy.sum(axis=1)))
-    return [LearningOutcome(p_err=f / repetitions, queries=q, repetitions=repetitions, effective_a=config.a_string)
-            for q, f in zip(queries_list, failures)]
+    return [f / repetitions for f in failures]
 
 
 def circuit_oracle_crosscheck(circuit: Circuit, a_string: str, shots: int, seed) -> float:

@@ -1,36 +1,17 @@
 """Hardware-legal circuit construction and OpenQASM 2.0 emission.
 
-Each experiment has one builder: ``build_ghz``, ``build_envariance`` or
-``build_parity`` takes a CouplingMap plus a ConnectionPath and returns the
-measured circuit, whose CNOTs all run along available directed edges. A
-logical CNOT against the edge direction becomes an inverse-CNOT: the
-available CNOT sandwiched between Hadamards on both qubits. No peephole
-cancellation is performed afterwards, so emitted circuits stay
-structurally auditable.
-
-Three circuit families:
-
-* GHZ: H on the root, then one logical CNOT per path pair with the
-  already-entangled anchor as control, spreading (|0..0> + |1..1>)/sqrt(2)
-  over the involved qubits, and measurements.
-* Envariance demonstration: the GHZ prefix, an X layer on the first half of
-  the involved qubits (the "system"), an X layer on the rest (the
-  "environment"), and measurements. The two X layers compose to a global
-  flip, so the pre-measurement state equals the GHZ state.
-* Parity oracle: H on every query qubit, CNOTs directed from query side
-  toward the root (the result qubit) on the pairs selected by the oracle
-  pattern, then H on all involved qubits and measurements. Measuring yields
-  (0^n, 0) or (a, 1) with equal probability, where the encoded string a
-  marks the query qubits whose CNOT chain connects to the root.
-
-A gate is an immutable ``(kind, operands)`` tuple, the form the QASM
-writer and the simulator read it in (``for kind, operands in gates``), as
-in Stim's flat (gate, targets) records. ``Gate(kind, operands)`` checks
-the kind, the arity and that a cnot's qubits differ; the factories ``h``,
-``x``, ``cnot`` and ``measure`` build the tuple directly, since their
-signatures fix kind and arity (``cnot`` still checks its two qubits). Each
-builder constructs its Circuit once, and ``Circuit`` range-checks every
-operand.
+Each experiment has one builder, ``build_ghz``, ``build_envariance`` or
+``build_parity``, which takes a CouplingMap plus a ConnectionPath and
+returns the measured circuit. Every CNOT it emits runs along an available
+directed edge: a logical CNOT against the edge direction becomes the
+available CNOT between Hadamards on both qubits. No peephole cancellation
+follows, so emitted circuits stay structurally auditable. The envariance
+circuit's pre-measurement state equals the GHZ state, and measuring the
+parity circuit yields (0^n, 0) or (a, 1) with equal probability, where a
+is ``effective_a``. A gate is an immutable ``(kind, operands)`` tuple, as
+in Stim's flat (gate, targets) records; ``Gate`` validates, the factories
+``h``, ``x``, ``cnot`` and ``measure`` build the tuple directly, and
+``Circuit`` range-checks every operand.
 """
 
 from __future__ import annotations
@@ -183,18 +164,14 @@ def build_ghz(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
 
 
 def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
-    """GHZ prefix, X on the first ceil(n/2) involved qubits, X on the rest, measure.
+    """GHZ prefix, one X layer over the involved qubits in involved order, then measurements.
 
-    "First" follows the involved-qubit order (root, then new nodes in pair
-    order), which keeps circuits reproducible; any fixed split works
-    because the two X layers compose to a flip of every involved qubit.
+    The layer is the system's flip (the first ceil(n/2) involved qubits)
+    followed by the environment's (the rest).
     """
     involved = path.involved()
-    n = len(involved)
-    split = (n + 1) // 2
     gates = ghz_gates(cmap, path)
-    gates.extend(x(q) for q in involved[:split])
-    gates.extend(x(q) for q in involved[split:])
+    gates.extend(x(q) for q in involved)
     return measured_circuit(cmap.num_qubits, gates, involved)
 
 

@@ -203,7 +203,7 @@ def _cmd_envariance(args) -> int:
     freq_maps = [frequencies(h) for h in histograms]
     ideal = two_peak_distribution(args.n)
     b_values = [bhattacharyya(f, ideal) for f in freq_maps]
-    report = fidelity_report(b_values)
+    b_mean, i95 = fidelity_report(b_values)
     keys = sorted({k for f in freq_maps for k in f})
     averaged = {k: sum(f.get(k, 0.0) for f in freq_maps) / len(freq_maps) for k in keys}
     parameters = {"n": args.n, "shots": args.shots, "repetitions": args.reps, "seed": args.seed}
@@ -214,15 +214,15 @@ def _cmd_envariance(args) -> int:
         "histograms": histograms,
         "averaged_histogram": averaged,
         "b_values": b_values,
-        "b_mean": report.b_mean,
-        "i95": report.i95,
+        "b_mean": b_mean,
+        "i95": i95,
     }
     _write_run(args.out, "envariance", cmap.name, parameters, {
         "circuit.qasm": qasm,
         "results.json": _json_text(results),
         "results.csv": _csv_text(["repetition", "b"], enumerate(b_values)),
     })
-    print(f"B = {report.b_mean:.6f} +/- {report.i95:.6f} (I95, {report.repetitions} repetitions)")
+    print(f"B = {b_mean:.6f} +/- {i95:.6f} (I95, {len(b_values)} repetitions)")
     return 0
 
 
@@ -245,19 +245,18 @@ def _cmd_parity(args) -> int:
         # Runs first, so a simulator error ends the run before the learning curve.
         record["cross_check_tv"] = circuit_oracle_crosscheck(circuit, a_string, CROSSCHECK_SHOTS, args.seed)
     config = NoisySampleConfig(eta=args.eta, a_string=a_string)
-    outcomes = perr_curve(config, queries_list, args.reps, args.seed)
-    record["p_err"] = [{"queries": o.queries, "p_err": o.p_err} for o in outcomes]
+    curve = list(zip(queries_list, perr_curve(config, queries_list, args.reps, args.seed)))
+    record["p_err"] = [{"queries": q, "p_err": p_err} for q, p_err in curve]
     _write_run(args.out, "parity", cmap.name, {**common, "queries": queries_list}, {
         "circuit.qasm": qasm,
         "results.json": _json_text(record),
-        "results.csv": _csv_text(["N", "p_err", "repetitions"],
-                                 ((o.queries, o.p_err, o.repetitions) for o in outcomes)),
+        "results.csv": _csv_text(["N", "p_err", "repetitions"], ((q, p_err, args.reps) for q, p_err in curve)),
     })
     if args.cross_check:
         print(f"cross-check TV distance (circuit vs classical oracle): {record['cross_check_tv']:.5f}")
     print(f"effective a: {a_string}")
-    for o in outcomes:
-        print(f"N={o.queries}: p_err={o.p_err:.5f}")
+    for q, p_err in curve:
+        print(f"N={q}: p_err={p_err:.5f}")
     return 0
 
 

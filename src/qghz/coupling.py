@@ -1,34 +1,20 @@
 """Device topologies as directed graphs and reachability-based qubit ranking.
 
-A coupling map is a directed graph over physical qubits: an edge (c, t)
-means a native CNOT with control c and target t is available. Two real
-device maps ship as data files, ``qx4`` (5 qubits) and ``qx5`` (16 qubits);
-``load_map`` reads the same JSON schema from arbitrary files.
-
-Each qubit x gets a rank: the number of other qubits that can reach x along
-directed edges. The top-ranked qubit is the natural root for spreading
-entanglement, since every CNOT chain must flow into it.
+An edge (c, t) of a coupling map means a native CNOT with control c and
+target t is available. ``qx4`` (5 qubits) and ``qx5`` (16 qubits) ship as
+data files; ``load_map`` reads the same JSON schema from any file. A
+qubit's rank is the number of other qubits that reach it along directed
+edges, so the top-ranked qubit is the natural root for spreading
+entanglement.
 
 ``_ranks`` computes every rank in one sweep over the strongly connected
 components (Kosaraju; Purdom 1970 and Sharir 1981 condense components the
-same way before propagating reachability). Qubits on one directed cycle
-reach exactly the same qubits, so they share one Python-int bitset. The
-first pass is an iterative DFS over successors that lists the qubits in
-reverse postorder. The second walks the qubits in that order; each qubit
-not yet in a component starts a stack walk over predecessors that labels
-its component, and the components come out in topological order. A
-component's set is its members' bits ORed with the final set of every
-earlier component with an edge into it: one OR per edge, nothing
-revisited. A qubit's rank is its component's popcount minus one, so a
-qubit on a cycle never counts itself and a qubit reached along several
-paths counts once. Memory is one bitset per component, at most
-num_qubits**2 / 8 bytes in all. README's "Map files" section gives
-measured times.
-
-The sweep returns a list of ints, and the compiler (``paths.path_for``)
-reads it as such, so this module does not import numpy and neither does a
-compile. The public ``rank_all`` wraps the same list in an int64 ndarray
-and imports numpy only when it is called; ``most_connected`` takes either.
+same way before propagating reachability), one OR per edge and one
+Python-int bitset per component: at most num_qubits**2 / 8 bytes. README's
+"Map files" section gives the sweep and measured times. It returns a list
+of ints, which the compiler (``paths.path_for``) reads, so neither this
+module nor a compile imports numpy; the public ``rank_all`` wraps the list
+in an int64 ndarray and imports numpy only when called.
 """
 
 from __future__ import annotations
@@ -103,9 +89,6 @@ class CouplingMap:
     def has_edge(self, control: int, target: int) -> bool:
         return (control, target) in self.edges
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def __repr__(self) -> str:
         label = f"{self.name!r}, " if self.name else ""
         return f"CouplingMap({label}{self.num_qubits} qubits, {len(self.edges)} edges)"
@@ -155,11 +138,6 @@ def resolve_map(spec: str) -> CouplingMap:
     if spec in BUNDLED_MAPS:
         return bundled_map(spec)
     return load_map_file(spec)
-
-
-def line_map(num_qubits: int) -> CouplingMap:
-    """Directed line 0 -> 1 -> ... -> n-1, used for scaling checks and benchmarks."""
-    return CouplingMap(num_qubits, [(i, i + 1) for i in range(num_qubits - 1)], name=f"line{num_qubits}")
 
 
 def _reverse_postorder(cmap: CouplingMap) -> list[int]:

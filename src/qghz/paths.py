@@ -37,7 +37,6 @@ class ConnectionPath:
 
     root: int
     pairs: tuple[tuple[int, int], ...]
-    requested: int
 
     def involved(self) -> tuple[int, ...]:
         """Qubits touched by the path: root first, then new nodes in pair order."""
@@ -76,7 +75,7 @@ def create_path(cmap: CouplingMap, root: int, requested: int) -> ConnectionPath:
                 budget -= 1
     if budget > 0:
         raise UnreachableQubitsError(requested, len(connected))
-    return ConnectionPath(root=root, pairs=tuple(pairs), requested=requested)
+    return ConnectionPath(root=root, pairs=tuple(pairs))
 
 
 def path_for(cmap: CouplingMap, n: int) -> ConnectionPath:

@@ -1,64 +1,28 @@
 """Exact outcome distributions by stabilizer tableau, shot sampling, and the noisy parity oracle.
 
-Every circuit here is h/x/cnot applied to |0...0>, then measured once at
-circuit end, as each experiment's one builder in ``circuits`` returns it.
-Such a circuit's measured outcomes are uniform over an affine subspace of
+Every circuit here is h/x/cnot applied to |0...0>, measured once at
+circuit end. Its measured outcomes are uniform over an affine subspace of
 GF(2)^k: each of its 2^r outcomes has probability exactly 2^-r (Dehaene
-and De Moor 2003; Aaronson and Gottesman 2004, "CHP").
-``outcome_keys`` finds them without evolving 2^k amplitudes. It keeps only
-the m stabilizers of the state, stored by column as in Stim (Gidney 2021):
-one Python int per qubit for the x bits, one for the z bits, and one for
-the signs, so each gate is a few big-int operations. The columns cover
-only the circuit's involved qubits (those any gate touches, plus the
-measured ones), indexed in ascending order as the gates are read, so map
-size costs nothing. Measurement is terminal, so no destabilizer is needed:
-at circuit end the columns are transposed to rows once and the rows are
-eliminated on their x bits and unmeasured z bits. The rows that reduce to
-zero there are parity checks on the measured outcome; back-substituting
-them gives one base outcome and one flip per free bit, and the 2^r
-outcomes are listed from those as int keys. Two caps apply. At most
-``MAX_INVOLVED_QUBITS`` = 2048 qubits are involved, because on a dense
-random tableau measured on a few qubits the elimination multiplies about
-m^2/4 row pairs. And the support dimension r is at most
-``MAX_SUPPORT_DIMENSION`` = 20, so at most 2^20 outcomes are listed; the
-elimination stops as soon as r is certain to exceed it. README's
-"Simulation engine" section gives measured times for both. Repetitions
-draw from that one distribution: a multinomial over its support, which
-gives the same counts as one over all 2^k outcomes, since numpy's binomial
-draws consume no random numbers for p = 0. The keys stay ints up to the
-draw, and only the drawn ones become k-character bitstrings.
-``exact_distribution`` returns every key, so it formats all of them. A
-statevector simulator is kept in ``tests/oracles.py`` as the independent
-reference the tests hold this engine to.
+and De Moor 2003; Aaronson and Gottesman 2004, "CHP"). ``outcome_keys``
+lists them from a stabilizer tableau stored by column as in Stim (Gidney
+2021), over the circuit's involved qubits only; README's "Simulation
+engine" section gives the elimination and measured times. Two limits hold,
+each checked before the work it bounds: at most ``MAX_INVOLVED_QUBITS``
+involved qubits, and a support dimension r of at most
+``MAX_SUPPORT_DIMENSION``. Repetitions draw a multinomial over the
+support, which gives the same counts as one over all 2^k outcomes, since
+numpy's binomial draws consume no random numbers for p = 0.
 
-Randomness comes from numpy's PCG64 generator seeded through SeedSequence,
-so every histogram is reproducible bit-for-bit across platforms for a given
-integer seed. Every derived per-repetition seed comes from one function,
-``child_seed_words``. Given one seed and a block of its descendants, named
-by child indices (one level for a repetition, two for a learning curve's
-(count, repetition)), it returns each descendant's PCG64 seed words: the
-``generate_state(4, uint64)`` of the SeedSequence ``spawn`` would make. It
-restates numpy's SeedSequence hash (O'Neill's seed_seq mixing) in one numpy
-uint32 pass from the seed's pool, one key column per level, and spawns
-nothing; ``SeedWords`` hands one row to ``PCG64``. So a SeedSequence seed
-is read, not consumed: it is left as it was passed. The noisy parity oracle
-and the one learner, ``analysis.perr_curve``, read raw PCG64 outputs
-(``random_raw``) instead of a Generator: a draw of q queries reads
-``oracle_draw_length(q)`` = q + ceil(q/2) 64-bit outputs. Output i < q
-makes query i noisy iff it is below ceil(eta * 2^53) << 11, which is
-exactly ``Generator.random() < eta`` (``random`` keeps the top 53 bits).
-The next ceil(q/2) outputs, split into 32-bit halves with the low
-half first, give query i's carry bit as the top bit of half i, which is
-exactly ``Generator.integers(0, 2, dtype=int64)``: that draws 32-bit halves
-low half first, and Lemire's method never rejects for a range of 2 (O'Neill
-2014, "PCG"; Lemire 2019). So one raw row per seed replaces a Generator and
-two draws, and a whole block of rows decodes in one numpy pass. The
-equivalence rests on numpy keeping PCG64, SeedSequence and those two
-Generator methods stream-compatible (NEP 19). Two hypothesis properties in
-``tests/test_simulator.py`` hold the decode to the Generator draws and
-``child_seed_words`` to ``spawn`` plus ``generate_state`` at depths 1 and
-2, so a numpy upgrade that changes either stream or the hash fails them by
-name.
+Randomness is numpy's PCG64 seeded through SeedSequence, so a histogram is
+reproducible bit for bit across platforms for a given integer seed. Every
+per-repetition seed comes from ``child_seed_words``, which restates
+SeedSequence's hash (O'Neill's seed_seq mixing) and spawns nothing. The
+noisy oracle and ``analysis.perr_curve`` decode raw PCG64 outputs exactly
+as ``Generator.random`` and ``Generator.integers(0, 2)`` draw (O'Neill
+2014, "PCG"; Lemire 2019); README's "Library" section states the decode.
+Both rest on numpy keeping PCG64, SeedSequence and those two methods
+stream-compatible (NEP 19); hypothesis properties in
+``tests/test_simulator.py`` fail by name if an upgrade breaks either.
 """
 
 from __future__ import annotations
@@ -181,13 +145,6 @@ def outcome_keys(circuit: Circuit) -> tuple[int, list[int]]:
     for flip in flips:
         keys = [key ^ f for key in keys for f in (0, flip)]
     return k, keys
-
-
-def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact outcome probabilities over the measured qubits (zeros dropped), keyed by bitstring, ascending."""
-    k, keys = outcome_keys(circuit)
-    p = 1 / len(keys)
-    return {format(key, f"0{k}b"): p for key in keys}
 
 
 def draw_histogram(k: int, keys: list[int], shots: int, seed) -> Histogram:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from conftest import random_connected_map, random_digraph
+from helpers import line_map
 from oracles import binomial_4sigma, closure_ranks, exact_perr, run_exact
 from qghz.analysis import circuit_oracle_crosscheck, perr_curve
 from qghz.circuits import (
@@ -24,7 +25,7 @@ from qghz.circuits import (
     verify_legality,
 )
 from qghz.cli import main as cli_main
-from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
+from qghz.coupling import CouplingMap, bundled_map, most_connected, rank_all
 from qghz.paths import create_path, path_for
 from qghz.simulator import NoisySampleConfig
 
@@ -52,7 +53,7 @@ def test_criterion_01_rank_oracle_equivalence():
         cmap = random_digraph(rng, max_qubits=10)
         expected = closure_ranks(cmap.num_qubits, cmap.edges)
         if rank_all(cmap).tolist() != expected:
-            _report(1, "rank oracle equivalence", False, f"mismatch on {cmap.sorted_edges()}")
+            _report(1, "rank oracle equivalence", False, f"mismatch on {sorted(cmap.edges)}")
     elapsed = time.perf_counter() - start
     _report(1, "rank oracle equivalence", elapsed < 5.0, f"500 digraphs in {elapsed:.2f}s")
 
@@ -162,13 +163,13 @@ def test_criterion_07_parity_noiseless_law():
     worst_pull = 0.0
     for queries in range(1, 9):
         config = NoisySampleConfig(eta=0.0, a_string="111")
-        outcome = perr_curve(config, [queries], reps, seed=700 + queries)[0]
+        p_err = perr_curve(config, [queries], reps, seed=700 + queries)[0]
         expected = 2.0**-queries
         band = binomial_4sigma(expected, reps)
-        worst_pull = max(worst_pull, abs(outcome.p_err - expected) / band)
-        if abs(outcome.p_err - expected) >= band:
+        worst_pull = max(worst_pull, abs(p_err - expected) / band)
+        if abs(p_err - expected) >= band:
             _report(7, "parity noiseless law", False,
-                    f"N={queries}: p_err={outcome.p_err:.5f} vs 2^-N={expected:.5f}")
+                    f"N={queries}: p_err={p_err:.5f} vs 2^-N={expected:.5f}")
     elapsed = time.perf_counter() - start
     _report(7, "parity noiseless law", elapsed < 30.0,
             f"N=1..8, M={reps}, worst pull {worst_pull:.2f} of 4-sigma band, {elapsed:.1f}s")
@@ -181,13 +182,13 @@ def test_criterion_08_parity_noisy_oracle_equivalence():
         for queries in range(1, 9):
             for n in (1, 2, 3):
                 config = NoisySampleConfig(eta=eta, a_string="1" * n)
-                outcome = perr_curve(config, [queries], reps, seed=8000 + combos)[0]
+                p_err = perr_curve(config, [queries], reps, seed=8000 + combos)[0]
                 expected = exact_perr(eta, queries)
                 band = binomial_4sigma(expected, reps)
                 combos += 1
-                if abs(outcome.p_err - expected) >= band:
+                if abs(p_err - expected) >= band:
                     _report(8, "parity noisy oracle equivalence", False,
-                            f"eta={eta} N={queries} n={n}: {outcome.p_err:.4f} vs {expected:.4f}")
+                            f"eta={eta} N={queries} n={n}: {p_err:.4f} vs {expected:.4f}")
     _report(8, "parity noisy oracle equivalence", True,
             f"{combos} (eta, N, n) combinations within 4 sigma of enumeration oracle")
 

@@ -19,7 +19,6 @@ from oracles import (
 )
 from qghz.analysis import (
     BLOCK_SEEDS,
-    FidelityReport,
     bhattacharyya,
     circuit_oracle_crosscheck,
     envariance_histograms,
@@ -113,14 +112,13 @@ class TestParityLearn:
         # only failure mode at eta = 0: zero postselected samples (prob 2^-N)
         config = NoisySampleConfig(eta=0.0, a_string="1" * 3)
         reps = 10_000
-        outcome = perr_curve(config, [10], reps, seed=17)[0]
+        p_err = perr_curve(config, [10], reps, seed=17)[0]
         expected = 2.0**-10
-        assert abs(outcome.p_err - expected) < binomial_4sigma(expected, reps)
+        assert abs(p_err - expected) < binomial_4sigma(expected, reps)
 
     def test_noiseless_all_zeros_never_fails(self):
         config = NoisySampleConfig(eta=0.0, a_string="00")
-        outcome = perr_curve(config, [1], 500, seed=3)[0]
-        assert outcome.p_err == 0.0
+        assert perr_curve(config, [1], 500, seed=3) == [0.0]
 
     def test_noisy_matches_enumeration_oracle(self):
         # frozen oracle value: exact_perr(1/4, 5) = 0.29998779296875
@@ -128,16 +126,15 @@ class TestParityLearn:
         assert expected == pytest.approx(0.29998779296875, abs=1e-15)
         config = NoisySampleConfig(eta=0.25, a_string="11")
         reps = 10_000
-        outcome = perr_curve(config, [5], reps, seed=29)[0]
-        assert abs(outcome.p_err - expected) < binomial_4sigma(expected, reps)
+        p_err = perr_curve(config, [5], reps, seed=29)[0]
+        assert abs(p_err - expected) < binomial_4sigma(expected, reps)
 
-    def test_outcome_fields(self):
+    def test_returns_one_float_p_err(self):
         config = NoisySampleConfig(eta=0.1, a_string="101")
-        outcome = perr_curve(config, [4], 50, seed=1)[0]
-        assert outcome.queries == 4
-        assert outcome.repetitions == 50
-        assert outcome.effective_a == "101"
-        assert 0.0 <= outcome.p_err <= 1.0
+        (p_err,) = perr_curve(config, [4], 50, seed=1)
+        assert type(p_err) is float
+        assert 0.0 <= p_err <= 1.0
+        assert (p_err * 50).is_integer()
 
     def test_determinism(self):
         config = NoisySampleConfig(eta=0.2, a_string="11")
@@ -151,9 +148,9 @@ class TestParityLearn:
             config = NoisySampleConfig(eta=eta, a_string=a_string)
             for queries in (1, 2, 3, 5, 17, 200):
                 for seed in (0, 1, 12):
-                    outcome = perr_curve(config, [queries], repetitions=20, seed=seed)[0]
+                    p_err = perr_curve(config, [queries], repetitions=20, seed=seed)[0]
                     child = np.random.SeedSequence(seed).spawn(1)[0]
-                    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, 20, child)
+                    assert p_err == reference_parity_perr(eta, a_string, queries, 20, child)
 
     @pytest.mark.parametrize("a_string", ["11", "00"])
     def test_memory_does_not_grow_with_repetitions(self, a_string):
@@ -179,8 +176,7 @@ class TestParityLearn:
         monkeypatch.setattr("qghz.analysis.child_seed_words", no_draws)
         seed = np.random.SeedSequence(41, n_children_spawned=2)
         reps = 2 * BLOCK_SEEDS + 3
-        outcome = perr_curve(NoisySampleConfig(eta=0.3, a_string=a_string), [7], reps, seed)[0]
-        assert outcome.p_err == 0.0
+        assert perr_curve(NoisySampleConfig(eta=0.3, a_string=a_string), [7], reps, seed) == [0.0]
         assert seed.n_children_spawned == 2
 
     def test_seed_words_shim_refuses_other_requests(self):
@@ -203,17 +199,16 @@ class TestParityLearn:
 class TestPerrCurve:
     def test_noiseless_curve_decreases_geometrically(self):
         config = NoisySampleConfig(eta=0.0, a_string="11")
-        outcomes = perr_curve(config, range(1, 11), repetitions=4000, seed=5)
-        for outcome in outcomes:
-            expected = 2.0**-outcome.queries
-            assert abs(outcome.p_err - expected) < binomial_4sigma(expected, 4000)
-        p_errs = [o.p_err for o in outcomes]
+        p_errs = perr_curve(config, range(1, 11), repetitions=4000, seed=5)
+        for queries, p_err in zip(range(1, 11), p_errs, strict=True):
+            expected = 2.0**-queries
+            assert abs(p_err - expected) < binomial_4sigma(expected, 4000)
         assert p_errs[0] > p_errs[4] > p_errs[9]
 
     def test_single_element_list(self):
         config = NoisySampleConfig(eta=0.0, a_string="1")
-        outcomes = perr_curve(config, [3], repetitions=100, seed=2)
-        assert len(outcomes) == 1 and outcomes[0].queries == 3
+        p_errs = perr_curve(config, [3], repetitions=100, seed=2)
+        assert len(p_errs) == 1
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -247,10 +242,10 @@ class TestPerrCurve:
 
     def test_zero_a_equals_literal_learner(self):
         queries, reps = [1, 2, 9, 40], 30
-        outcomes = perr_curve(NoisySampleConfig(eta=0.3, a_string="000"), queries, reps, seed=6)
+        p_errs = perr_curve(NoisySampleConfig(eta=0.3, a_string="000"), queries, reps, seed=6)
         children = np.random.SeedSequence(6).spawn(4)
         expected = [reference_parity_perr(0.3, "000", q, reps, s) for q, s in zip(queries, children)]
-        assert [o.p_err for o in outcomes] == expected
+        assert p_errs == expected
 
 
 # Repetition counts below and above one seed block, and between a fifth
@@ -285,7 +280,7 @@ def test_perr_curve_equals_one_count_curves(queries, repetitions, seed, eta, a_s
     assert perr_curve(config, queries, repetitions, root) == expected
 
 
-def envariance_fidelity(map_name: str, n: int, shots: int, repetitions: int, seed) -> FidelityReport:
+def envariance_fidelity(map_name: str, n: int, shots: int, repetitions: int, seed) -> tuple[float, float]:
     """B and I95 of the envariance circuit on ``map_name``, by the steps ``qghz envariance`` takes."""
     cmap = bundled_map(map_name)
     histograms = envariance_histograms(build_envariance(cmap, path_for(cmap, n)), shots, repetitions, seed)
@@ -295,15 +290,14 @@ def envariance_fidelity(map_name: str, n: int, shots: int, repetitions: int, see
 
 class TestFidelityExperiment:
     def test_noiseless_qx4_close_to_one(self):
-        report = envariance_fidelity("qx4", n=5, shots=8192, repetitions=10, seed=0)
-        assert report.b_mean >= 0.999
-        assert report.i95 >= 0.0
-        assert report.repetitions == 10
+        b_mean, i95 = envariance_fidelity("qx4", n=5, shots=8192, repetitions=10, seed=0)
+        assert b_mean >= 0.999
+        assert i95 >= 0.0
 
     def test_single_repetition_has_zero_interval(self):
-        report = envariance_fidelity("qx4", n=2, shots=1024, repetitions=1, seed=0)
-        assert report.i95 == 0.0
-        assert isinstance(report, FidelityReport)
+        b_mean, i95 = envariance_fidelity("qx4", n=2, shots=1024, repetitions=1, seed=0)
+        assert i95 == 0.0
+        assert type(b_mean) is float and type(i95) is float
 
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError):
@@ -366,7 +360,7 @@ def test_a_seed_sequence_is_read_not_consumed():
     expected = reference_crosscheck_tv(parity, a_string, 4096, fresh())
     assert circuit_oracle_crosscheck(parity, a_string, 4096, seed) == expected
     expected = [reference_parity_perr(0.2, "101", q, 30, child) for q, child in zip(queries, fresh().spawn(3))]
-    assert [o.p_err for o in perr_curve(NoisySampleConfig(eta=0.2, a_string="101"), queries, 30, seed)] == expected
+    assert perr_curve(NoisySampleConfig(eta=0.2, a_string="101"), queries, 30, seed) == expected
     assert seed.n_children_spawned == 2
 
 

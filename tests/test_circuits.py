@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_map
+from helpers import exact_distribution, line_map
 from oracles import reparse_qasm
 from qghz import simulator
 from qghz.circuits import (
@@ -30,12 +31,11 @@ from qghz.circuits import (
     verify_legality,
     x,
 )
-from qghz.coupling import CouplingMap, bundled_map, line_map, most_connected, rank_all
+from qghz.coupling import CouplingMap, bundled_map, most_connected, rank_all
 from qghz.paths import ConnectionPath, create_path, path_for
-from qghz.simulator import exact_distribution
 
 BELL_MAP = CouplingMap(2, [(0, 1)])
-BELL_PATH = ConnectionPath(root=0, pairs=((1, 0),), requested=2)
+BELL_PATH = ConnectionPath(root=0, pairs=((1, 0),))
 CHAIN = CouplingMap(3, [(0, 1), (1, 2)])
 
 

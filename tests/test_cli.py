@@ -364,7 +364,7 @@ class TestRunBounds:
 
 @pytest.mark.parametrize("pairs", [(), ((1, 0),), ((5, 12), (1108, 5), (0, 1108), (7, 0))])
 def test_path_json_equals_json_dumps(pairs):
-    path = ConnectionPath(root=pairs[0][1] if pairs else 4, pairs=pairs, requested=len(pairs) + 1)
+    path = ConnectionPath(root=pairs[0][1] if pairs else 4, pairs=pairs)
     payload = {"root": path.root, "pairs": [list(p) for p in path.pairs]}
     assert _path_json(path) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import line_map
 from oracles import QX4_EDGES, QX5_EDGES, closure_ranks
 from qghz.coupling import (
     MAX_MAP_QUBITS,
     CouplingMap,
     MapFormatError,
     bundled_map,
-    line_map,
     load_map,
     most_connected,
     rank_all,

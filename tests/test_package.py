@@ -14,13 +14,13 @@ import qghz
 
 # Every name the package exports, each the same object as in its own module.
 EXPORTS = {
-    "analysis": ("FidelityReport", "LearningOutcome", "bhattacharyya", "perr_curve", "two_peak_distribution"),
+    "analysis": ("bhattacharyya", "perr_curve", "two_peak_distribution"),
     "circuits": ("Circuit", "Gate", "IllegalCouplingError", "OraclePattern", "build_envariance", "build_ghz",
                  "build_parity", "cnot_legal", "effective_a", "emit_qasm", "measured_circuit", "verify_legality"),
-    "coupling": ("CouplingMap", "MapFormatError", "bundled_map", "line_map", "load_map", "load_map_file",
-                 "most_connected", "rank_all", "resolve_map"),
+    "coupling": ("CouplingMap", "MapFormatError", "bundled_map", "load_map", "load_map_file", "most_connected",
+                 "rank_all", "resolve_map"),
     "paths": ("ConnectionPath", "UnreachableQubitsError", "create_path", "path_for"),
-    "simulator": ("NoisySampleConfig", "exact_distribution", "sample", "sample_noisy_oracle"),
+    "simulator": ("NoisySampleConfig", "sample", "sample_noisy_oracle"),
 }
 
 COMPILE = "from qghz import cli; assert cli.main(['compile', '--map', 'qx5', '--out', out, {}]) == 0"
@@ -31,10 +31,14 @@ START_UP = {
 }
 
 
-def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports the same qghz as this process, installed or not."""
+def run_fresh(code: str, *args: str, **environ: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports the same qghz as this process, installed or not.
+
+    ``environ`` sets further environment variables for that interpreter.
+    """
     src = str(Path(qghz.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
 
 
@@ -44,6 +48,29 @@ def test_start_up_leaves_numpy_unloaded(case, tmp_path):
     code = f"import sys; out = sys.argv[1]; {case}; sys.exit('numpy loaded' if 'numpy' in sys.modules else 0)"
     result = run_fresh(code, str(tmp_path / "out"))
     assert result.returncode == 0, result.stderr
+
+
+def test_written_files_do_not_depend_on_the_hash_seed(tmp_path):
+    # String hashing orders sets and dicts of strings; no output may follow it.
+    argv = ["parity", "--map", "qx5", "-n", "4", "--pattern", "11", "--queries", "1:8", "--reps", "20",
+            "--cross-check", "--out"]
+    code = "import sys; from qghz.cli import main; sys.exit(main(sys.argv[1:]))"
+    first, second = tmp_path / "hash1", tmp_path / "hash2"
+    for seed, out in (("1", first), ("2", second)):
+        result = run_fresh(code, *argv, str(out), PYTHONHASHSEED=seed)
+        assert result.returncode == 0, result.stderr
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    assert "results.json" in names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_numpy_free_compile_checker_passes():
+    # CI runs this checker on every supported Python with only the package installed.
+    checker = Path(__file__).resolve().parent / "check_numpy_free_compile.py"
+    result = run_fresh("import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')", str(checker))
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_every_export_resolves_from_a_fresh_import():

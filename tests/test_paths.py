@@ -121,6 +121,6 @@ def test_path_for_roots_at_the_public_rank_table_choice(cmap, data):
 
 
 def test_path_dataclass_is_frozen():
-    path = ConnectionPath(root=0, pairs=((1, 0),), requested=2)
+    path = ConnectionPath(root=0, pairs=((1, 0),))
     with pytest.raises(AttributeError):
         path.root = 1

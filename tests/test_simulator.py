@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import exact_distribution, line_map
 from oracles import (
     apply_gate,
     binomial_4sigma,
@@ -36,13 +38,13 @@ from qghz.circuits import (
     measured_circuit,
     x,
 )
-from qghz.coupling import CouplingMap, bundled_map, line_map
+from qghz.coupling import CouplingMap, bundled_map
 from qghz.paths import create_path, path_for
 from qghz.simulator import (
     MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
     child_seed_words,
-    exact_distribution,
+    decode_oracle_draws,
     oracle_draw_length,
     sample,
     sample_noisy_oracle,
@@ -519,12 +521,42 @@ def test_raw_oracle_draws_match_the_generator(seed, queries, blocks, offset, eta
     block = max(1, min(BLOCK_SEEDS, BLOCK_OUTPUTS // oracle_draw_length(queries)))
     repetitions = max(1, blocks * block + offset)
     root = fresh_seed(seed)
-    outcome = perr_curve(config, [queries], repetitions, root)[0]
+    p_err = perr_curve(config, [queries], repetitions, root)[0]
     # The one count's repetitions are the children of the root's child 0.
     child = (np.random.SeedSequence(seed) if isinstance(seed, int) else fresh_seed(seed)).spawn(1)[0]
-    assert outcome.p_err == reference_parity_perr(eta, a_string, queries, repetitions, child)
+    assert p_err == reference_parity_perr(eta, a_string, queries, repetitions, child)
     if not isinstance(seed, int):
         assert root.n_children_spawned == seed[2]
+
+
+def generator_noisy(raw: int, eta: float) -> bool:
+    """``Generator.random() < eta`` for the draw that reads ``raw``: random keeps its top 53 bits."""
+    return (raw >> 11) * 2.0**-53 < eta
+
+
+def generator_carries(half: int) -> bool:
+    """``Generator.integers(0, 2, dtype=int64)`` for the draw that reads the 32-bit ``half``: its top bit."""
+    return bool(half >> 31)
+
+
+def test_carry_boundary_is_the_top_bit_of_the_half():
+    # Four queries read two carry words; each word's low half comes first.
+    halves = [1 << 31, (1 << 31) - 1, (1 << 31) - 1, 1 << 31]
+    words = [halves[0] | halves[1] << 32, halves[2] | halves[3] << 32]
+    raw = np.array([0] * 4 + words, dtype=np.uint64)
+    _, carries_a = decode_oracle_draws(raw, 4, 0.0)
+    assert carries_a.tolist() == [generator_carries(half) for half in halves] == [True, False, False, True]
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.25, 2.0**-60, float(np.nextafter(0.5, 0))])
+def test_noise_boundary_is_the_generator_threshold(eta):
+    # eta * 2^53 is not an integer at eta = 0.1, so the draw just below the
+    # threshold lies inside the 2^11-wide step that ceil and floor split.
+    threshold = math.ceil(eta * 2**53) << 11
+    outputs = [threshold - 1, threshold]
+    raw = np.array(outputs + [0], dtype=np.uint64)
+    noisy, _ = decode_oracle_draws(raw, 2, eta)
+    assert noisy.tolist() == [generator_noisy(out, eta) for out in outputs] == [True, False]
 
 
 # SeedSequence roots of every shape it assembles: int entropy past 2^128,

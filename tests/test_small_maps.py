@@ -17,6 +17,7 @@ from unittest import mock
 
 import pytest
 
+from helpers import exact_distribution
 from oracles import UnionFind, closure_ranks, reparse_qasm
 from qghz import simulator
 from qghz.circuits import (
@@ -30,7 +31,6 @@ from qghz.circuits import (
 )
 from qghz.coupling import CouplingMap, _ranks
 from qghz.paths import UnreachableQubitsError, path_for
-from qghz.simulator import exact_distribution
 
 KINDS = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
 
@@ -71,11 +71,11 @@ def check_compiled(cmap: CouplingMap, circuit, expected: list[str]) -> None:
     Callers patch ``simulator.MAX_SUPPORT_DIMENSION`` to 1: every correct
     compile has support dimension 1.
     """
-    assert verify_legality(cmap, circuit) == [], cmap.sorted_edges()
+    assert verify_legality(cmap, circuit) == [], sorted(cmap.edges)
     width, creg, ops = reparse_qasm(emit_qasm(circuit))
-    assert (width, creg) == (cmap.num_qubits, len(circuit.measured_qubits)), cmap.sorted_edges()
-    assert ops == [(KINDS[kind], *operands) for kind, operands in circuit.gates], cmap.sorted_edges()
-    assert list(exact_distribution(circuit).items()) == [(key, 0.5) for key in expected], cmap.sorted_edges()
+    assert (width, creg) == (cmap.num_qubits, len(circuit.measured_qubits)), sorted(cmap.edges)
+    assert ops == [(KINDS[kind], *operands) for kind, operands in circuit.gates], sorted(cmap.edges)
+    assert list(exact_distribution(circuit).items()) == [(key, 0.5) for key in expected], sorted(cmap.edges)
 
 
 def compile_map(edges, num_qubits: int, every_width: bool) -> None:
