@@ -81,10 +81,11 @@ def envariance_histograms(circuit: Circuit, shots: int, repetitions: int, seed) 
 
 def fidelity_report(b_values: list[float]) -> tuple[float, float]:
     """(b_mean, i95) of the per-repetition fidelities; I95 = 1.96 s / sqrt(m), 0 for m = 1."""
-    values = np.array(b_values)
-    m = len(values)
-    i95 = 0.0 if m == 1 else 1.96 * float(np.std(values, ddof=1)) / math.sqrt(m)
-    return float(values.mean()), i95
+    m = len(b_values)
+    if m == 0:
+        raise ValueError("fidelity_report needs at least one fidelity")
+    i95 = 0.0 if m == 1 else 1.96 * float(np.std(b_values, ddof=1)) / math.sqrt(m)
+    return float(np.mean(b_values)), i95
 
 
 def perr_curve(config: NoisySampleConfig, queries_list, repetitions: int, seed) -> list[float]:

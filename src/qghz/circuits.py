@@ -8,10 +8,15 @@ available CNOT between Hadamards on both qubits. No peephole cancellation
 follows, so emitted circuits stay structurally auditable. The envariance
 circuit's pre-measurement state equals the GHZ state, and measuring the
 parity circuit yields (0^n, 0) or (a, 1) with equal probability, where a
-is ``effective_a``. A gate is an immutable ``(kind, operands)`` tuple, as
-in Stim's flat (gate, targets) records; ``Gate`` validates, the factories
-``h``, ``x``, ``cnot`` and ``measure`` build the tuple directly, and
-``Circuit`` range-checks every operand.
+is ``effective_a``. A gate is a plain ``(kind, operands)`` record, as in
+Stim's flat (gate, targets) records: ``Gate`` is a ``NamedTuple`` that
+checks nothing, and the factories ``h``, ``x``, ``cnot`` and ``measure``
+build it directly. ``Circuit`` holds every gate rule and checks each gate
+once: a known kind, its operand count, qubits in range, distinct cnot
+qubits, and the measurement record. Measure gates, if any, are the last
+gates, the j-th is ``measure(measured_qubits[j], j)``, and together they
+cover every measured qubit, so each measure writes a declared classical
+bit (OpenQASM 2.0, Cross et al. 2017).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 from .coupling import CouplingMap
 from .paths import ConnectionPath
@@ -29,7 +35,6 @@ X = "x"
 CNOT = "cnot"
 MEASURE = "measure"
 
-_ARITY = {H: 1, X: 1, CNOT: 2, MEASURE: 2}
 _QASM = {H: "h q[%d];", X: "x q[%d];", CNOT: "cx q[%d],q[%d];", MEASURE: "measure q[%d] -> c[%d];"}
 
 
@@ -40,33 +45,15 @@ class IllegalCouplingError(ValueError):
 _tuple_new = tuple.__new__
 
 
-class Gate(tuple):
-    """One gate: an immutable (kind, operands) tuple, equal to and hashed as the plain tuple.
+class Gate(NamedTuple):
+    """One gate; plain ``(kind, operands)`` tuples equal it and hash the same.
 
     Operands are (qubit,) for h/x, (control, target) for cnot and
-    (qubit, classical_bit) for measure. The constructor validates; the
-    factories below do not need to.
+    (qubit, classical_bit) for measure. ``Circuit`` checks them.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, kind: str, operands: tuple[int, ...]):
-        if kind not in _ARITY:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        if len(operands) != _ARITY[kind]:
-            raise ValueError(f"{kind} takes {_ARITY[kind]} operands, got {operands!r}")
-        if kind == CNOT and operands[0] == operands[1]:
-            raise ValueError(f"cnot control and target coincide: {operands}")
-        return _tuple_new(cls, (kind, operands))
-
-    def __getnewargs__(self):  # copy and pickle call __new__(cls, kind, operands)
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"Gate(kind={self[0]!r}, operands={self[1]!r})"
-
-    kind = property(itemgetter(0), doc="h, x, cnot or measure")
-    operands = property(itemgetter(1), doc="qubit indices, plus the classical bit of a measure")
+    kind: str
+    operands: tuple[int, ...]
 
 
 def h(qubit: int) -> Gate:
@@ -78,8 +65,6 @@ def x(qubit: int) -> Gate:
 
 
 def cnot(control: int, target: int) -> Gate:
-    if control == target:
-        raise ValueError(f"cnot control and target coincide: {(control, target)}")
     return _tuple_new(Gate, (CNOT, (control, target)))
 
 
@@ -93,6 +78,11 @@ class Circuit:
 
     ``measured_qubits`` fixes the classical bit order: the i-th listed
     qubit writes classical bit i, and bit 0 renders leftmost in bitstrings.
+    Construction raises ValueError, naming the gate index and the rule, for
+    an unknown kind, a wrong operand count, a qubit outside [0, width),
+    coinciding cnot qubits, or a measure outside the measurement record:
+    the last len(measured_qubits) gates, the j-th ``measure(measured_qubits[j], j)``.
+    A circuit may also declare measured qubits and hold no measure gate.
     """
 
     width: int
@@ -100,16 +90,32 @@ class Circuit:
     measured_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        width = self.width
-        for i, (kind, operands) in enumerate(self.gates):
-            for q in operands[:1] if kind == MEASURE else operands:
-                if not 0 <= q < width:
-                    raise ValueError(f"gate {i} ({kind}): qubit {q} out of range [0, {width})")
-        for q in self.measured_qubits:
-            if not (0 <= q < self.width):
-                raise ValueError(f"measured qubit {q} out of range [0, {self.width})")
-        if len(set(self.measured_qubits)) != len(self.measured_qubits):
-            raise ValueError(f"duplicate measured qubits: {self.measured_qubits}")
+        width, gates, measured = self.width, self.gates, self.measured_qubits
+        if len(set(measured)) != len(measured) or not all(0 <= q < width for q in measured):
+            raise ValueError(f"measured qubit list {measured} holds a duplicate or a qubit out of range [0, {width})")
+        record = tuple((MEASURE, (q, j)) for j, q in enumerate(measured))
+        end = len(gates) - len(record)
+        for i, (kind, operands) in enumerate(gates[:end] if gates[end:] == record else gates):
+            if kind == CNOT and len(operands) == 2:
+                control, target = operands
+                if control != target and 0 <= control < width and 0 <= target < width:
+                    continue
+            elif (kind == H or kind == X) and len(operands) == 1 and 0 <= operands[0] < width:
+                continue
+            raise ValueError(f"gate {i} ({kind!r}, {operands!r}): {self._broken_rule(kind, operands)}")
+
+    def _broken_rule(self, kind, operands) -> str:
+        """The rule a gate outside the measurement record breaks; only rejection calls this."""
+        if kind not in (H, X, CNOT, MEASURE):
+            return "unknown gate kind"
+        arity = 1 if kind in (H, X) else 2
+        if len(operands) != arity:
+            return f"{kind} takes {arity} operands, got {len(operands)}"
+        if kind == MEASURE:
+            return "outside the measurement record: the last gates must be measure(measured_qubits[j], j) for all j"
+        if kind == CNOT and operands[0] == operands[1]:
+            return "cnot control and target coincide"
+        return f"qubit out of range [0, {self.width})"
 
     def counts(self) -> dict[str, int]:
         """Number of gates of each kind, in order of first appearance."""

@@ -98,12 +98,13 @@ def load_map(document) -> CouplingMap:
     """Build a validated CouplingMap from JSON text or an already-parsed dict.
 
     The document needs ``num_qubits`` and ``edges`` (an array of two-element
-    [control, target] arrays); ``name`` is optional.
+    [control, target] arrays); ``name`` is optional and must be a string.
+    Bytes are decoded as UTF-8, -16 or -32, as ``json.loads`` detects.
     """
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MapFormatError(f"map document is not valid JSON: {exc}") from exc
         except RecursionError:
             raise MapFormatError("map document nests too deeply to parse") from None
@@ -114,15 +115,14 @@ def load_map(document) -> CouplingMap:
             raise MapFormatError(f"map document is missing required field {field!r}")
     if not isinstance(document["edges"], list):
         raise MapFormatError(f"edges must be a JSON array, got {type(document['edges']).__name__}")
-    return CouplingMap(
-        document["num_qubits"],
-        document["edges"],
-        name=str(document.get("name", "")),
-    )
+    name = document.get("name", "")
+    if not isinstance(name, str):
+        raise MapFormatError(f"name must be a JSON string, got {type(name).__name__}")
+    return CouplingMap(document["num_qubits"], document["edges"], name=name)
 
 
 def load_map_file(path: str | Path) -> CouplingMap:
-    return load_map(Path(path).read_text())
+    return load_map(Path(path).read_bytes())
 
 
 def bundled_map(name: str) -> CouplingMap:

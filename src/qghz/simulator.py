@@ -75,8 +75,8 @@ def outcome_keys(circuit: Circuit) -> tuple[int, list[int]]:
     if not circuit.measured_qubits:
         raise ValueError("circuit declares no measured qubits")
     involved = set(circuit.measured_qubits)
-    for kind, operands in circuit.gates:
-        involved.update(operands[:1] if kind == MEASURE else operands)
+    # A Circuit's measure gates are its measurement record, whose qubits are already in.
+    involved.update(*(operands for kind, operands in circuit.gates if kind != MEASURE))
     if len(involved) > MAX_INVOLVED_QUBITS:
         raise ValueError(f"circuit involves {len(involved)} qubits; the simulator takes at most "
                          f"MAX_INVOLVED_QUBITS = {MAX_INVOLVED_QUBITS}")

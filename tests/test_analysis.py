@@ -303,6 +303,11 @@ class TestFidelityExperiment:
         with pytest.raises(ValueError):
             envariance_fidelity("qx4", n=1, shots=10, repetitions=2, seed=0)
 
+    def test_no_fidelities_is_an_error(self):
+        # Not a (nan, nan) report with numpy warnings, which the test settings make errors.
+        with pytest.raises(ValueError, match="at least one fidelity"):
+            fidelity_report([])
+
     def test_deterministic_given_seed(self):
         a = envariance_fidelity("qx4", n=3, shots=2048, repetitions=4, seed=9)
         b = envariance_fidelity("qx4", n=3, shots=2048, repetitions=4, seed=9)

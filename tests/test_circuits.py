@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_map
 from helpers import exact_distribution, line_map
-from oracles import reparse_qasm
+from oracles import reference_distribution, reparse_qasm
 from qghz import simulator
 from qghz.circuits import (
     CNOT,
@@ -57,19 +57,18 @@ class TestCnotLegal:
 
 class TestGateAndCircuitValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Gate("t", (0,))
+        with pytest.raises(ValueError, match="gate 0 .*unknown gate kind"):
+            Circuit(1, (("t", (0,)),))
 
     def test_cnot_needs_distinct_operands(self):
-        with pytest.raises(ValueError, match="coincide"):
-            cnot(1, 1)
-        with pytest.raises(ValueError, match="coincide"):
-            Gate("cnot", (1, 1))
+        for gate in (cnot(1, 1), Gate("cnot", (1, 1)), ("cnot", (1, 1))):
+            with pytest.raises(ValueError, match="gate 1 .*coincide"):
+                Circuit(2, (h(0), gate))
 
     def test_constructor_checks_arity(self):
         for kind, operands in (("h", (0, 1)), ("x", ()), ("cnot", (0,)), ("measure", (0, 1, 2))):
             with pytest.raises(ValueError, match="operands"):
-                Gate(kind, operands)
+                Circuit(3, ((kind, operands),))
 
     def test_gate_is_immutable(self):
         gate = h(3)
@@ -78,9 +77,10 @@ class TestGateAndCircuitValidation:
         assert gate.kind == "h" and gate.operands == (3,)
         assert copy.deepcopy(gate) == gate and type(copy.deepcopy(gate)) is Gate
 
-    def test_factories_equal_the_checked_constructor(self):
-        assert h(3) == Gate("h", (3,)) and hash(h(3)) == hash(Gate("h", (3,)))
+    def test_factories_equal_the_record_constructor(self):
+        assert h(3) == Gate("h", (3,)) == ("h", (3,)) and hash(h(3)) == hash(("h", (3,)))
         assert (x(2), cnot(0, 1), measure(4, 0)) == (Gate("x", (2,)), Gate("cnot", (0, 1)), Gate("measure", (4, 0)))
+        assert repr(cnot(0, 1)) == "Gate(kind='cnot', operands=(0, 1))"
         # A line rooted at its end: every CNOT is an inverse-CNOT sandwich.
         cmap = line_map(1108)
         path = create_path(cmap, 1107, 1108)
@@ -92,8 +92,9 @@ class TestGateAndCircuitValidation:
         assert build_ghz(cmap, path) == Circuit(1108, tuple(rebuilt), path.involved())
 
     def test_circuit_rejects_out_of_range_qubits(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Circuit(width=1, gates=(h(1),))
+        for gate in (h(1), x(-1), cnot(0, 1), cnot(-1, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                Circuit(width=1, gates=(gate,))
 
     def test_circuit_rejects_out_of_range_measured_qubits(self):
         for measured in ((5,), (0, 2), (-1,)):
@@ -104,8 +105,26 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Circuit(width=2, gates=(), measured_qubits=(0, 0))
 
-    def test_measure_classical_bit_not_range_checked_against_width(self):
-        Circuit(width=1, gates=(measure(0, 5),))  # clbit index is free-form
+    def test_measure_classical_bit_must_be_declared(self):
+        # OpenQASM 2.0 measures into a declared creg; with no measured qubits there is none.
+        with pytest.raises(ValueError, match="gate 0 .*measurement record"):
+            Circuit(width=1, gates=(measure(0, 5),))
+
+    @pytest.mark.parametrize("gates, measured", [
+        ((h(0), measure(1, 0)), (0,)),  # samples q0 but would measure q1
+        ((h(0), measure(0, 1)), (0,)),  # the right qubit into the wrong bit
+        ((measure(0, 0), h(0)), (0,)),  # mid-circuit
+        ((measure(0, 0), h(1), measure(1, 1)), (0, 1)),  # mid-circuit inside the record
+        ((h(0), measure(0, 0)), (0, 1)),  # covers part of the measured qubits
+        ((measure(1, 1), measure(0, 0)), (0, 1)),  # record out of order
+    ])
+    def test_measures_must_be_the_measurement_record(self, gates, measured):
+        with pytest.raises(ValueError, match="measurement record"):
+            Circuit(2, gates, measured)
+
+    def test_measured_qubits_without_measure_gates(self):
+        circuit = Circuit(2, (h(0),), (1, 0))
+        assert emit_qasm(circuit).endswith("creg c[2];\nh q[0];\n")
 
 
 class TestBuildGhz:
@@ -368,3 +387,68 @@ def test_compiled_circuits_are_legal_and_compute_their_closed_forms(compiled):
     with mock.patch.object(simulator, "MAX_SUPPORT_DIMENSION", 1):
         distribution = exact_distribution(circuit)
     assert list(distribution.items()) == [(key, 0.5) for key in expected]
+
+
+ARITY = {"h": 1, "x": 1, "cnot": 2, "measure": 2}
+
+
+def follows_gate_rules(width, gates, measured) -> bool:
+    """The gate rules, stated apart from ``Circuit``: measured qubits distinct and in range, every
+    gate a known kind with its operand count, non-measure qubits in range and distinct for a cnot,
+    and measure gates either absent or exactly the measurement record at the end."""
+    if len(set(measured)) != len(measured) or not all(0 <= q < width for q in measured):
+        return False
+    if any(kind not in ARITY or len(operands) != ARITY[kind] for kind, operands in gates):
+        return False
+    body = [gate for gate in gates if gate[0] != "measure"]
+    # As many gates from the end as there are measures: any non-measure among them is after a measure.
+    tail = gates[len(body):]
+    if tail and list(tail) != [("measure", (q, j)) for j, q in enumerate(measured)]:
+        return False
+    return all(all(0 <= q < width for q in operands) and len(set(operands)) == len(operands)
+               for _, operands in body)
+
+
+@st.composite
+def raw_circuits(draw):
+    """(width, gates, measured qubits) from raw (kind, operands) tuples: legal h/x/cnot gates, then
+    the measurement record or a prefix of it, and at times one more gate anywhere: any kind with
+    0-3 qubits, or a known kind with its operand count, every operand in [-1, width]."""
+    width = draw(st.integers(1, 6))
+    qubit, legal = st.integers(-1, width), st.integers(0, width - 1)
+    unitary = st.tuples(st.sampled_from(["h", "x"]), st.tuples(legal))
+    if width > 1:
+        unitary |= st.tuples(st.just("cnot"), st.lists(legal, min_size=2, max_size=2, unique=True).map(tuple))
+    gates = draw(st.lists(unitary, max_size=8))
+    measured = tuple(draw(st.permutations(range(width)))[:draw(st.integers(0, width))])
+    if draw(st.integers(0, 7)) == 0:  # maybe out of range or a duplicate
+        measured += (draw(qubit),)
+    record = [("measure", (q, j)) for j, q in enumerate(measured)]
+    gates += record[:draw(st.integers(0, len(record)))] if draw(st.booleans()) else record
+    if draw(st.booleans()):
+        stray = st.one_of(
+            st.tuples(st.sampled_from(["h", "x", "cnot", "measure", "t"]), st.lists(qubit, max_size=3).map(tuple)),
+            st.tuples(st.sampled_from(["h", "x"]), st.tuples(qubit)),
+            st.tuples(st.sampled_from(["cnot", "measure"]), st.tuples(qubit, qubit)),
+        )
+        gates.insert(draw(st.integers(0, len(gates))), draw(stray))
+    return width, tuple(gates), measured
+
+
+@given(raw_circuits())
+@settings(max_examples=400, deadline=None)
+def test_circuit_accepts_exactly_the_gate_rules(raw):
+    width, gates, measured = raw
+    if not follows_gate_rules(width, gates, measured):
+        with pytest.raises(ValueError):
+            Circuit(width, gates, measured)
+        return
+    circuit = Circuit(width, gates, measured)
+    # reparse_qasm asserts each measure writes a bit below the declared creg.
+    assert reparse_qasm(emit_qasm(circuit)) == (width, len(measured), [(KINDS[k], *ops) for k, ops in gates])
+    if measured:
+        k, keys = simulator.outcome_keys(circuit)
+        # The statevector oracle reads .kind and .operands, so it gets the same gates as records.
+        records = Circuit(width, tuple(Gate(*gate) for gate in gates), measured)
+        assert records == circuit
+        assert [format(key, f"0{k}b") for key in keys] == list(reference_distribution(records))

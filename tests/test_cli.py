@@ -51,6 +51,16 @@ class TestRank:
         assert run_cli("rank", "--map", str(bad)) == 1
         assert "self-loop" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b'{"name": null, "num_qubits": 2, "edges": [[0, 1]]}',
+                                         b'{"name": ["a"], "num_qubits": 2, "edges": [[0, 1]]}', b"\x80abc"])
+    def test_bad_map_document_is_one_error_line(self, tmp_path, capsys, content):
+        bad, out = tmp_path / "bad.json", tmp_path / "run"
+        bad.write_bytes(content)
+        assert run_cli("compile", "--map", str(bad), "--experiment", "ghz", "-n", "2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCompile:
     def test_ghz_qx5_full_width(self, tmp_path):

@@ -13,6 +13,7 @@ from qghz.coupling import (
     MapFormatError,
     bundled_map,
     load_map,
+    load_map_file,
     most_connected,
     rank_all,
     resolve_map,
@@ -79,6 +80,21 @@ class TestLoadMap:
     def test_edges_must_be_an_array(self, edges):
         with pytest.raises(MapFormatError, match="edges must be a JSON array"):
             load_map(f'{{"num_qubits": 2, "edges": {edges}}}')
+
+    @pytest.mark.parametrize("name", ["null", '["a"]', "3", "{}"])
+    def test_name_must_be_a_string(self, name):
+        # Not written to manifest.json as "None" or "['a']".
+        with pytest.raises(MapFormatError, match="name must be a JSON string"):
+            load_map(f'{{"name": {name}, "num_qubits": 2, "edges": []}}')
+
+    @pytest.mark.parametrize("document", [b"\x80abc", b'{"name": "\xff", "num_qubits": 2, "edges": []}'])
+    def test_undecodable_bytes_rejected(self, document, tmp_path):
+        with pytest.raises(MapFormatError, match="not valid JSON"):
+            load_map(document)
+        path = tmp_path / "map.json"
+        path.write_bytes(document)
+        with pytest.raises(MapFormatError, match="not valid JSON"):
+            load_map_file(path)
 
     @pytest.mark.parametrize("document", ["[" * 100_000, '{"num_qubits": 2, "edges": ' + "[" * 100_000])
     def test_deep_nesting_rejected(self, document):
