@@ -83,6 +83,7 @@ class Circuit:
     coinciding cnot qubits, or a measure outside the measurement record:
     the last len(measured_qubits) gates, the j-th ``measure(measured_qubits[j], j)``.
     A circuit may also declare measured qubits and hold no measure gate.
+    Operands are taken to be ints; their type is not checked.
     """
 
     width: int

@@ -11,8 +11,7 @@ the killing tests do not all pass on the unmutated copy.
 
 Run from anywhere, with the test extras installed::
 
-    python tests/mutants.py            # every row
-    python tests/mutants.py 3 21       # rows 3 and 21 (1-based)
+    python tests/mutants.py
 
 See DeMillo, Lipton & Sayward 1978, "Hints on Test Data Selection" (IEEE
 Computer), and Jia & Harman 2011, "An Analysis and Survey of the
@@ -168,9 +167,8 @@ def run_killers(mutant: Mutant, work: Path) -> int:
         path.write_text(original)
 
 
-def main(argv: list[str]) -> int:
-    rows = [MUTANTS[int(i) - 1] for i in argv] if argv else list(MUTANTS)
-    stale = [f"{m.name}: old text occurs {n} times in {m.file}" for m in rows if (n := occurrences(m)) != 1]
+def main() -> int:
+    stale = [f"{m.name}: old text occurs {n} times in {m.file}" for m in MUTANTS if (n := occurrences(m)) != 1]
     if stale:
         print("\n".join(stale))
         return 1
@@ -182,19 +180,19 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         # A killing test that fails on the unmutated code would kill every mutant.
-        if run_pytest(work, sorted({test for mutant in rows for test in mutant.killers})) != 0:
+        if run_pytest(work, sorted({test for mutant in MUTANTS for test in mutant.killers})) != 0:
             print("the killing tests do not all pass on the unmutated code")
             return 1
-        for mutant in rows:
+        for mutant in MUTANTS:
             start = time.perf_counter()
             code = run_killers(mutant, work)
             status = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
             print(f"{status:<22} {mutant.name}  ({time.perf_counter() - start:.1f} s)", flush=True)
             if code != 1:
                 survivors.append(mutant.name)
-    print(f"{len(rows) - len(survivors)} of {len(rows)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
