@@ -24,6 +24,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .simulator import (
+    BLOCK_OUTPUTS,
     Histogram,
     NoisySampleConfig,
     SeedWords,
@@ -37,11 +38,9 @@ from .simulator import (
 )
 
 Distribution = dict[str, float]
-# The learner holds at most this many rows of seed words (32 B each) and
-# this many raw outputs (8 B each) at once; a single repetition may exceed
-# the second.
+# The learner holds at most this many rows of seed words (32 B each) at
+# once, and at most ``BLOCK_OUTPUTS`` raw outputs.
 BLOCK_SEEDS = 1024
-BLOCK_OUTPUTS = 1 << 16
 
 
 def two_peak_distribution(n: int) -> Distribution:

@@ -12,11 +12,11 @@ is ``effective_a``. A gate is a plain ``(kind, operands)`` record, as in
 Stim's flat (gate, targets) records: ``Gate`` is a ``NamedTuple`` that
 checks nothing, and the factories ``h``, ``x``, ``cnot`` and ``measure``
 build it directly. ``Circuit`` holds every gate rule and checks each gate
-once: a known kind, its operand count, qubits in range, distinct cnot
-qubits, and the measurement record. Measure gates, if any, are the last
-gates, the j-th is ``measure(measured_qubits[j], j)``, and together they
-cover every measured qubit, so each measure writes a declared classical
-bit (OpenQASM 2.0, Cross et al. 2017).
+once: a known kind, a tuple of int operands of its count, qubits in range,
+distinct cnot qubits, and the measurement record. Measure gates, if any,
+are the last gates, the j-th is ``measure(measured_qubits[j], j)``, and
+together they cover every measured qubit, so each measure writes a
+declared classical bit (OpenQASM 2.0, Cross et al. 2017).
 """
 
 from __future__ import annotations
@@ -79,11 +79,13 @@ class Circuit:
     ``measured_qubits`` fixes the classical bit order: the i-th listed
     qubit writes classical bit i, and bit 0 renders leftmost in bitstrings.
     Construction raises ValueError, naming the gate index and the rule, for
-    an unknown kind, a wrong operand count, a qubit outside [0, width),
-    coinciding cnot qubits, or a measure outside the measurement record:
-    the last len(measured_qubits) gates, the j-th ``measure(measured_qubits[j], j)``.
-    A circuit may also declare measured qubits and hold no measure gate.
-    Operands are taken to be ints; their type is not checked.
+    an unknown kind, operands that are not a tuple of ints (a bool or an
+    integral float is not an int), a wrong operand count, a qubit outside
+    [0, width), coinciding cnot qubits, or a measure outside the measurement
+    record: the last len(measured_qubits) gates, the j-th
+    ``measure(measured_qubits[j], j)``. Measured qubits must be distinct
+    ints in range. A circuit may also declare measured qubits and hold no
+    measure gate.
     """
 
     width: int
@@ -92,26 +94,37 @@ class Circuit:
 
     def __post_init__(self):
         width, gates, measured = self.width, self.gates, self.measured_qubits
-        if len(set(measured)) != len(measured) or not all(0 <= q < width for q in measured):
-            raise ValueError(f"measured qubit list {measured} holds a duplicate or a qubit out of range [0, {width})")
+        if len(set(measured)) != len(measured) or not all(q.__class__ is int and 0 <= q < width for q in measured):
+            raise ValueError(f"measured qubit list {measured} holds a duplicate, a non-int or a qubit out of range "
+                             f"[0, {width})")
         record = tuple((MEASURE, (q, j)) for j, q in enumerate(measured))
         end = len(gates) - len(record)
-        for i, (kind, operands) in enumerate(gates[:end] if gates[end:] == record else gates):
-            if kind == CNOT and len(operands) == 2:
-                control, target = operands
-                if control != target and 0 <= control < width and 0 <= target < width:
+        # Floats and bools compare equal to the record's ints, so the tail's operand classes are checked too.
+        in_record = gates[end:] == record and all(q.__class__ is int and j.__class__ is int
+                                                  for _, (q, j) in gates[end:])
+        for i, (kind, operands) in enumerate(gates[:end] if in_record else gates):
+            if operands.__class__ is tuple:
+                if kind == CNOT and len(operands) == 2:
+                    control, target = operands
+                    if (control.__class__ is int and target.__class__ is int and control != target
+                            and 0 <= control < width and 0 <= target < width):
+                        continue
+                elif ((kind == H or kind == X) and len(operands) == 1 and operands[0].__class__ is int
+                      and 0 <= operands[0] < width):
                     continue
-            elif (kind == H or kind == X) and len(operands) == 1 and 0 <= operands[0] < width:
-                continue
             raise ValueError(f"gate {i} ({kind!r}, {operands!r}): {self._broken_rule(kind, operands)}")
 
     def _broken_rule(self, kind, operands) -> str:
         """The rule a gate outside the measurement record breaks; only rejection calls this."""
         if kind not in (H, X, CNOT, MEASURE):
             return "unknown gate kind"
+        if operands.__class__ is not tuple:
+            return f"operands are a {operands.__class__.__name__}, not a tuple"
         arity = 1 if kind in (H, X) else 2
         if len(operands) != arity:
             return f"{kind} takes {arity} operands, got {len(operands)}"
+        if any(q.__class__ is not int for q in operands):
+            return "operand is not an int"
         if kind == MEASURE:
             return "outside the measurement record: the last gates must be measure(measured_qubits[j], j) for all j"
         if kind == CNOT and operands[0] == operands[1]:

@@ -1,9 +1,11 @@
 """Command-line front end: rank, compile, envariance, parity.
 
 Every file-writing run produces a directory with manifest.json plus its
-result files; the manifest records the command, map, parameters (seed
-included) and output file names, which is enough to reproduce the run
-byte-for-byte. Each command computes every file's text before it creates
+result files; the manifest records the command, map name, parameters (seed
+included) and output file names. A run on a bundled map can be replayed
+byte for byte from its manifest, plus ``results.json`` for
+``--cross-check``. For a map file, the manifest names the map but does not
+identify its contents. Each command computes every file's text before it creates
 the directory, so a run that fails on its input or in the simulator writes
 no files. The simulator caps the support dimension of the measured outcomes
 (at most 2^20 of them), not the qubit count; every circuit these commands

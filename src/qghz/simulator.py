@@ -19,10 +19,16 @@ per-repetition seed comes from ``child_seed_words``, which restates
 SeedSequence's hash (O'Neill's seed_seq mixing) and spawns nothing. The
 noisy oracle and ``analysis.perr_curve`` decode raw PCG64 outputs exactly
 as ``Generator.random`` and ``Generator.integers(0, 2)`` draw (O'Neill
-2014, "PCG"; Lemire 2019); README's "Library" section states the decode.
-Both rest on numpy keeping PCG64, SeedSequence and those two methods
-stream-compatible (NEP 19); hypothesis properties in
-``tests/test_simulator.py`` fail by name if an upgrade breaks either.
+2014, "PCG"; Lemire 2019), through one noise test (``noisy_flags``) and
+one carry test (``carry_flags``); README's "Library" section states the
+decode. The oracle reads its noise words and its carry words side by side
+through two generators on the one stream, the second moved ``queries``
+outputs ahead by ``PCG64.advance`` (an O(log n) jump of the LCG; Brown
+1994), a block at a time, so it runs in constant memory; at eta = 0 it
+draws no noise words at all. All of this rests on numpy keeping PCG64,
+its ``advance``, SeedSequence and those two methods stream-compatible
+(NEP 19); tests in ``tests/test_simulator.py`` fail by name if an upgrade
+breaks any of them.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ MAX_SUPPORT_DIMENSION = 20
 # Most qubits one circuit may involve (gate operands plus measured qubits),
 # checked before the tableau is built.
 MAX_INVOLVED_QUBITS = 2048
+
+# The noisy oracle holds at most this many raw outputs (8 B each) at once,
+# as does ``analysis.perr_curve`` unless one repetition needs more. It is
+# even, so an oracle block of this many queries reads whole carry words.
+BLOCK_OUTPUTS = 1 << 16
 
 Histogram = dict[str, int]
 
@@ -188,19 +199,36 @@ def oracle_draw_length(queries: int) -> int:
     return queries + (queries + 1) // 2
 
 
+def noisy_flags(noise_words: np.ndarray, eta: float) -> np.ndarray:
+    """Bool flags of the queries that are noisy: noise word i is below ceil(eta * 2^53) << 11.
+
+    That is exactly ``Generator.random() < eta``, which keeps an output's top
+    53 bits. At eta = 0 the threshold is 0, so no query is noisy.
+    """
+    return noise_words < math.ceil(eta * 2**53) << 11
+
+
+def carry_flags(carry_words: np.ndarray, queries: int) -> np.ndarray:
+    """Bool flags of the ``queries`` queries that carry a: the top bit of 32-bit half i of the words, low half first.
+
+    That is exactly ``Generator.integers(0, 2, dtype=np.int64)``, one half
+    per draw. ``carry_words`` holds at least ``(queries + 1) // 2`` uint64
+    outputs along its last axis.
+    """
+    # Little-endian words viewed as little-endian halves put the low half first on any host.
+    halves = carry_words.astype("<u8", copy=False).view("<u4")[..., :queries]
+    return halves >= 1 << 31
+
+
 def decode_oracle_draws(raw: np.ndarray, queries: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """(noisy, carries_a): bool flags of each query, decoded from ``oracle_draw_length(queries)`` raw outputs.
 
     ``raw`` holds uint64 PCG64 outputs along its last axis; any leading axes
-    (one row per repetition) carry through. Query i is noisy iff output i is
-    below ceil(eta * 2^53) << 11, and carries a iff the top bit of 32-bit
-    half i of the outputs after the first ``queries`` is set, low half
-    first.
+    (one row per repetition) carry through. The first ``queries`` outputs
+    are the noise words (``noisy_flags``), the rest the carry words
+    (``carry_flags``).
     """
-    noisy = raw[..., :queries] < math.ceil(eta * 2**53) << 11
-    # Little-endian words viewed as little-endian halves put the low half first on any host.
-    halves = raw[..., queries:].astype("<u8", copy=False).view("<u4")[..., :queries]
-    return noisy, halves >= 1 << 31
+    return noisy_flags(raw[..., :queries], eta), carry_flags(raw[..., queries:], queries)
 
 
 def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> np.ndarray:
@@ -213,12 +241,30 @@ def sample_noisy_oracle(config: NoisySampleConfig, queries: int, seed) -> np.nda
     uniform regardless of eta, and among result-1 draws the query equals a
     with probability 1 - eta. The draws are ``decode_oracle_draws`` of the
     seed's first ``oracle_draw_length(queries)`` raw PCG64 outputs.
+
+    Two generators read that one stream: the noise cursor from output 0,
+    the carry cursor from output ``queries`` (``PCG64.advance``), each
+    ``BLOCK_OUTPUTS`` queries at a time, so memory does not grow with
+    ``queries``. The block size is even, so every block but the last
+    starts on a carry word's low half. At eta = 0 no query is noisy, and
+    the noise cursor is neither built nor read.
     """
     if queries <= 0:
         raise ValueError(f"queries must be positive, got {queries}")
-    raw = np.random.PCG64(seed).random_raw(oracle_draw_length(queries))
-    noisy, carries_a = decode_oracle_draws(raw, queries, config.eta)
-    return np.bincount(2 * carries_a + (carries_a ^ noisy), minlength=4).reshape(2, 2)
+    carry = np.random.PCG64(seed)
+    carry.advance(queries)
+    noise = np.random.PCG64(seed) if config.eta > 0 else None
+    carrying = noisy = both = 0
+    for start in range(0, queries, BLOCK_OUTPUTS):
+        size = min(BLOCK_OUTPUTS, queries - start)
+        carries_a = carry_flags(carry.random_raw((size + 1) // 2), size)
+        carrying += np.count_nonzero(carries_a)
+        if noise is not None:
+            flags = noisy_flags(noise.random_raw(size), config.eta)
+            noisy += np.count_nonzero(flags)
+            both += np.count_nonzero(flags & carries_a)
+    # A query's result is its carry flag xor its noise flag.
+    return np.array([[queries - carrying - noisy + both, noisy - both], [both, carrying - both]], dtype=np.int64)
 
 
 class SeedWords(ISeedSequence):
@@ -244,6 +290,8 @@ MULT_B = 0x58F38DED
 MIX_MULT_L = 0xCA01F9DD
 MIX_MULT_R = 0x4973F715
 XSHIFT = 16
+# generate_state's running hash constant before and after each of its 8 words.
+_STATE_CONSTS = np.array([INIT_B * pow(MULT_B, i, 1 << 32) % (1 << 32) for i in range(9)], dtype=np.uint32)
 
 
 def _entropy_words(value) -> int:
@@ -271,9 +319,10 @@ def child_seed_words(seed, keys) -> np.ndarray:
     size) followed by its spawn-key entries, one word each, so its pool is
     the seed's pool with each entry in turn mixed into every pool word, the
     hash constant continuing from where the seed's stopped. The constant
-    depends only on the word's position, so all rows are hashed as uint32
-    columns, one key column per level; uint32 arithmetic on arrays wraps
-    silently (on numpy scalars it would warn).
+    depends only on the word's position, so all rows and pool words are
+    hashed in one uint32 (rows, pool size) pass per key column, and the 8
+    state words in one more; uint32 arithmetic on arrays wraps silently (on
+    numpy scalars it would warn).
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
@@ -290,22 +339,25 @@ def child_seed_words(seed, keys) -> np.ndarray:
     # The seed hashed each pool word once, each ordered pair of pool words
     # once, and each entropy word past the pool once per pool word.
     hash_const = INIT_A * pow(MULT_A, pool_size * max(pool_size, run_words + key_words), 1 << 32) % (1 << 32)
+    # hashmix xors a word with the running constant, steps the constant, then
+    # multiplies by it: the w-th word hashed, in (level, pool word) order,
+    # meets constants w and w + 1.
+    consts = [hash_const]
+    for _ in range(keys.shape[1] * pool_size):
+        consts.append(consts[-1] * MULT_A % (1 << 32))
+    consts = np.array(consts, dtype=np.uint32)
     mixer = np.tile(seed.pool, (len(keys), 1))
-    for column in keys.astype(np.uint32).T:
-        for dst in range(pool_size):
-            value = column ^ np.uint32(hash_const)
-            hash_const = hash_const * MULT_A % (1 << 32)
-            value *= np.uint32(hash_const)
-            value ^= value >> XSHIFT
-            mixed = np.uint32(MIX_MULT_L) * mixer[:, dst] - np.uint32(MIX_MULT_R) * value
-            mixer[:, dst] = mixed ^ mixed >> XSHIFT
+    for level, column in enumerate(keys.astype(np.uint32).T):
+        level_consts = consts[level * pool_size:(level + 1) * pool_size + 1]
+        value = column[:, None] ^ level_consts[:-1]
+        value *= level_consts[1:]
+        value ^= value >> XSHIFT
+        mixed = np.uint32(MIX_MULT_L) * mixer - np.uint32(MIX_MULT_R) * value
+        mixer = mixed ^ mixed >> XSHIFT
     # generate_state(4, uint64) hashes 8 uint32 words read cyclically from
     # the pool and pairs them low word first.
-    state = np.empty((len(keys), 8), dtype=np.uint32)
-    hash_const = INIT_B
-    for i in range(8):
-        value = mixer[:, i % pool_size] ^ np.uint32(hash_const)
-        hash_const = hash_const * MULT_B % (1 << 32)
-        value *= np.uint32(hash_const)
-        state[:, i] = value ^ value >> XSHIFT
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    value = mixer[:, np.arange(8) % pool_size] ^ _STATE_CONSTS[:-1]
+    value *= _STATE_CONSTS[1:]
+    state = value ^ value >> XSHIFT
+    # The pool-word gather leaves state column-major; pairing words needs rows contiguous.
+    return state.astype("<u4", order="C", copy=False).view("<u8").astype(np.uint64)

@@ -43,6 +43,8 @@ class Mutant(NamedTuple):
 CIRCUITS, COUPLING, SIMULATOR = "src/qghz/circuits.py", "src/qghz/coupling.py", "src/qghz/simulator.py"
 ANALYSIS, CLI = "src/qghz/analysis.py", "src/qghz/cli.py"
 VALIDATION = "tests/test_circuits.py::TestGateAndCircuitValidation::"
+GATE_RULES = "tests/test_circuits.py::test_circuit_accepts_exactly_the_gate_rules"
+BLOCK_EDGES = "tests/test_simulator.py::test_oracle_block_edges_match_the_generator"
 
 MUTANTS = (
     Mutant("last sandwich Hadamard dropped", CIRCUITS,
@@ -86,8 +88,8 @@ MUTANTS = (
            "lines += [_QASM[kind] % (operands[::-1] if kind == CNOT else operands) for kind, operands in circuit.gates]",
            ("tests/test_circuits.py::TestEmitQasm::test_bell_text",)),
     Mutant("noise test < -> <=", SIMULATOR,
-           "noisy = raw[..., :queries] < math.ceil",
-           "noisy = raw[..., :queries] <= math.ceil",
+           "return noise_words < math.ceil",
+           "return noise_words <= math.ceil",
            ("tests/test_simulator.py::test_raw_oracle_draws_match_the_generator",)),
     Mutant("carry halves read high first", SIMULATOR,
            '.astype("<u8", copy=False).view("<u4")',
@@ -126,18 +128,46 @@ MUTANTS = (
            "math.ceil(eta * 2**53)",
            "math.floor(eta * 2**53)",
            ("tests/test_simulator.py::test_noise_boundary_is_the_generator_threshold[0.1]",)),
+    Mutant("oracle carry cursor not advanced", SIMULATOR,
+           "carry.advance(queries)",
+           "carry.advance(0)",
+           (BLOCK_EDGES,)),
+    Mutant("oracle drops its last partial block", SIMULATOR,
+           "for start in range(0, queries, BLOCK_OUTPUTS):",
+           "for start in range(0, queries - queries % BLOCK_OUTPUTS, BLOCK_OUTPUTS):",
+           (BLOCK_EDGES,)),
+    Mutant("oracle eta = 0 shortcut taken at every eta", SIMULATOR,
+           "noise = np.random.PCG64(seed) if config.eta > 0 else None",
+           "noise = None",
+           (BLOCK_EDGES,)),
+    Mutant("oracle noise cursor read at eta = 0", SIMULATOR,
+           "noise = np.random.PCG64(seed) if config.eta > 0 else None",
+           "noise = np.random.PCG64(seed)",
+           ("tests/test_simulator.py::test_oracle_draws_only_the_words_it_decodes",)),
     Mutant("coinciding cnot qubits accepted", CIRCUITS,
-           "if control != target and 0 <= control < width",
-           "if 0 <= control < width",
+           "target.__class__ is int and control != target",
+           "target.__class__ is int",
            (VALIDATION + "test_cnot_needs_distinct_operands",)),
     Mutant("measure rule dropped", CIRCUITS,
-           "enumerate(gates[:end] if gates[end:] == record else gates)",
+           "enumerate(gates[:end] if in_record else gates)",
            "enumerate(gate for gate in gates if gate[0] != MEASURE)",
            (VALIDATION + "test_measure_classical_bit_must_be_declared",
             VALIDATION + "test_measures_must_be_the_measurement_record")),
+    Mutant("operand int test dropped", CIRCUITS,
+           "len(operands) == 1 and operands[0].__class__ is int",
+           "len(operands) == 1",
+           (GATE_RULES,)),
+    Mutant("operand tuple test dropped", CIRCUITS,
+           "if operands.__class__ is tuple:",
+           "if True:",
+           (GATE_RULES,)),
+    Mutant("measure record operand classes unchecked", CIRCUITS,
+           "all(q.__class__ is int and j.__class__ is int",
+           "all(True",
+           (GATE_RULES,)),
     Mutant("h/x range test < -> <=", CIRCUITS,
-           "len(operands) == 1 and 0 <= operands[0] < width",
-           "len(operands) == 1 and 0 <= operands[0] <= width",
+           "and 0 <= operands[0] < width):",
+           "and 0 <= operands[0] <= width):",
            (VALIDATION + "test_circuit_rejects_out_of_range_qubits",)),
 )
 

@@ -96,6 +96,22 @@ class TestGateAndCircuitValidation:
             with pytest.raises(ValueError, match="out of range"):
                 Circuit(width=1, gates=(gate,))
 
+    @pytest.mark.parametrize("gate, rule", [
+        (("h", (0.5,)), "not an int"),  # used to emit h q[0] and simulate 0.5 as a qubit of its own
+        (("x", (1.0,)), "not an int"),
+        (("cnot", (True, 0)), "not an int"),
+        (("h", [0]), "operands are a list, not a tuple"),  # used to pass, then fail in emit_qasm
+        (("measure", (0.0, 0)), "not an int"),
+    ])
+    def test_operands_are_a_tuple_of_ints(self, gate, rule):
+        with pytest.raises(ValueError, match=f"gate 1 .*{rule}"):
+            Circuit(2, (cnot(0, 1), gate) + ((measure(0, 0),) if gate[0] != "measure" else ()), (0,))
+
+    def test_measured_qubits_are_ints(self):
+        for measured in ((0.0,), (True,), (0, 1.5)):
+            with pytest.raises(ValueError, match="measured qubit .* non-int"):
+                Circuit(width=2, gates=(), measured_qubits=measured)
+
     def test_circuit_rejects_out_of_range_measured_qubits(self):
         for measured in ((5,), (0, 2), (-1,)):
             with pytest.raises(ValueError, match="measured qubit .* out of range"):
@@ -393,9 +409,13 @@ ARITY = {"h": 1, "x": 1, "cnot": 2, "measure": 2}
 
 
 def follows_gate_rules(width, gates, measured) -> bool:
-    """The gate rules, stated apart from ``Circuit``: measured qubits distinct and in range, every
-    gate a known kind with its operand count, non-measure qubits in range and distinct for a cnot,
-    and measure gates either absent or exactly the measurement record at the end."""
+    """The gate rules, stated apart from ``Circuit``: measured qubits distinct ints in range, every
+    gate a known kind with a tuple of int operands of its count (a bool or a float is not an int),
+    non-measure qubits in range and distinct for a cnot, and measure gates either absent or exactly
+    the measurement record at the end."""
+    if any(type(q) is not int for q in measured) or any(
+            type(operands) is not tuple or any(type(q) is not int for q in operands) for _, operands in gates):
+        return False
     if len(set(measured)) != len(measured) or not all(0 <= q < width for q in measured):
         return False
     if any(kind not in ARITY or len(operands) != ARITY[kind] for kind, operands in gates):
@@ -409,11 +429,18 @@ def follows_gate_rules(width, gates, measured) -> bool:
                for _, operands in body)
 
 
+def not_int(q):
+    """A value equal or close to the int qubit ``q`` that is not an int: an integral or a half float, or a bool."""
+    return st.sampled_from([float(q), q + 0.5] + ([bool(q)] if q in (0, 1) else []))
+
+
 @st.composite
 def raw_circuits(draw):
     """(width, gates, measured qubits) from raw (kind, operands) tuples: legal h/x/cnot gates, then
     the measurement record or a prefix of it, and at times one more gate anywhere: any kind with
-    0-3 qubits, or a known kind with its operand count, every operand in [-1, width]."""
+    0-3 qubits, or a known kind with its operand count, every operand in [-1, width]. At times one
+    operand, measured qubit or measure operand is then made a float or a bool, or one gate's
+    operands a list."""
     width = draw(st.integers(1, 6))
     qubit, legal = st.integers(-1, width), st.integers(0, width - 1)
     unitary = st.tuples(st.sampled_from(["h", "x"]), st.tuples(legal))
@@ -432,6 +459,19 @@ def raw_circuits(draw):
             st.tuples(st.sampled_from(["cnot", "measure"]), st.tuples(qubit, qubit)),
         )
         gates.insert(draw(st.integers(0, len(gates))), draw(stray))
+    change = draw(st.sampled_from(["none", "none", "operand", "measured", "list"]))
+    if change == "measured" and measured:
+        at = draw(st.integers(0, len(measured) - 1))
+        measured = measured[:at] + (draw(not_int(measured[at])),) + measured[at + 1:]
+    elif change != "none" and any(operands for _, operands in gates):
+        at = draw(st.sampled_from([i for i, (_, operands) in enumerate(gates) if operands]))
+        kind, operands = gates[at]
+        if change == "list":
+            operands = list(operands)
+        else:
+            j = draw(st.integers(0, len(operands) - 1))
+            operands = operands[:j] + (draw(not_int(operands[j])),) + operands[j + 1:]
+        gates[at] = (kind, operands)
     return width, tuple(gates), measured
 
 

@@ -5,14 +5,17 @@ committed under ``tests/golden/<case>/``. The cases are the three
 criterion-11 commands, the full-width envariance run on qx5, a parity run
 with the circuit cross-check, and two compiles that dump their path and gate
 list: a one-qubit GHZ (no path pairs) and an envariance circuit on qx4 with
-inverse-CNOT sandwiches. Regenerate the copies only when outputs are
-meant to change, and record why in CHANGES.md:
+inverse-CNOT sandwiches. Each case is also replayed from its own
+manifest.json, with no argv but what the manifest and results.json record.
+Regenerate the copies only when outputs are meant to change, and record
+why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
@@ -50,14 +53,46 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_golden_bytes(case, tmp_path):
-    out = tmp_path / case
-    assert main(CASES[case] + ["--out", str(out)]) == 0
+def assert_golden_bytes(case: str, out: Path) -> None:
     expected = sorted(p.name for p in (GOLDEN / case).iterdir())
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), f"{case}/{name} differs"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_bytes(case, tmp_path):
+    out = tmp_path / case
+    assert main(CASES[case] + ["--out", str(out)]) == 0
+    assert_golden_bytes(case, out)
+
+
+# The CLI flag of each manifest parameter; effective_a follows from the map and the pattern.
+FLAGS = {"experiment": "--experiment", "n": "-n", "pattern": "--pattern", "eta": "--eta", "queries": "--queries",
+         "repetitions": "--reps", "seed": "--seed", "shots": "--shots"}
+DUMPS = {"path.json": "--dump-path", "circuit.json": "--dump-circuit"}
+
+
+def replay_argv(case_dir: Path) -> list[str]:
+    """The run's argv, rebuilt from its manifest.json, plus --cross-check when results.json holds its distance."""
+    manifest = json.loads((case_dir / "manifest.json").read_text())
+    argv = [manifest["command"], "--map", manifest["map_name"]]
+    for name, value in manifest["parameters"].items():
+        if name != "effective_a":
+            argv += [FLAGS[name], ",".join(map(str, value)) if name == "queries" else str(value)]
+    argv += [DUMPS[name] for name in manifest["output_paths"] if name in DUMPS]
+    results = case_dir / "results.json"
+    if results.exists() and "cross_check_tv" in json.loads(results.read_text()):
+        argv.append("--cross-check")
+    return argv
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir()))
+def test_manifest_replays_the_run(case, tmp_path):
+    """A run on a bundled map is reproduced byte for byte from its manifest (and results.json for --cross-check)."""
+    out = tmp_path / case
+    assert main(replay_argv(GOLDEN / case) + ["--out", str(out)]) == 0
+    assert_golden_bytes(case, out)
 
 
 def regenerate() -> None:

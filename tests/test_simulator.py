@@ -43,6 +43,7 @@ from qghz.paths import create_path, path_for
 from qghz.simulator import (
     MAX_SUPPORT_DIMENSION,
     NoisySampleConfig,
+    SeedWords,
     child_seed_words,
     decode_oracle_draws,
     oracle_draw_length,
@@ -557,6 +558,60 @@ def test_noise_boundary_is_the_generator_threshold(eta):
     raw = np.array(outputs + [0], dtype=np.uint64)
     noisy, _ = decode_oracle_draws(raw, 2, eta)
     assert noisy.tolist() == [generator_noisy(out, eta) for out in outputs] == [True, False]
+
+
+# Seeds of the three kinds the sampler receives: an int, a SeedSequence below
+# the root, and the learner's and cross-check's SeedWords.
+ORACLE_SEEDS = {
+    "int": lambda: 8,
+    "seed-sequence": lambda: np.random.SeedSequence(31, spawn_key=(2, 2**40), n_children_spawned=3),
+    "seed-words": lambda: SeedWords(child_seed_words(5, [1])[0]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORACLE_SEEDS))
+@pytest.mark.parametrize("eta", [0.0, 0.1])
+@pytest.mark.parametrize("queries", [BLOCK_OUTPUTS - 1, BLOCK_OUTPUTS, BLOCK_OUTPUTS + 1, 2 * BLOCK_OUTPUTS + 1])
+def test_oracle_block_edges_match_the_generator(queries, eta, seed):
+    """Across block edges the two cursors read the same stream as the Generator draws.
+
+    The carry cursor starts ``queries`` outputs in through ``PCG64.advance``,
+    so this also fails if a numpy upgrade makes ``advance(n)`` differ from n
+    discarded draws.
+    """
+    counts = sample_noisy_oracle(NoisySampleConfig(eta=eta, a_string="1"), queries, ORACLE_SEEDS[seed]())
+    assert np.array_equal(counts, reference_oracle_counts(eta, queries, ORACLE_SEEDS[seed]()))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1])
+def test_oracle_memory_does_not_grow_with_queries(eta):
+    # Drawing all 1.5 million raw outputs at once would peak near 23 MB.
+    tracemalloc.start()
+    try:
+        counts = sample_noisy_oracle(NoisySampleConfig(eta=eta, a_string="1"), 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**6
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("queries", [1, 6, BLOCK_OUTPUTS + 1])
+@pytest.mark.parametrize("eta", [0.0, 0.1])
+def test_oracle_draws_only_the_words_it_decodes(queries, eta, monkeypatch):
+    """At eta = 0 only the carry words are drawn; at eta > 0 the noise words too."""
+    drawn = []
+
+    class RecordingPCG64(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            drawn.append(1 if size is None else size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "PCG64", RecordingPCG64)
+    counts = sample_noisy_oracle(NoisySampleConfig(eta=eta, a_string="1"), queries, 9)
+    monkeypatch.undo()  # the reference draws through PCG64 too
+    assert np.array_equal(counts, reference_oracle_counts(eta, queries, 9))
+    assert sum(drawn) == (queries + 1) // 2 + (queries if eta else 0)
 
 
 # SeedSequence roots of every shape it assembles: int entropy past 2^128,
