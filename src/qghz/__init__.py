@@ -23,7 +23,6 @@ from .circuits import (
     cnot_legal,
     effective_a,
     emit_qasm,
-    measured_circuit,
     verify_legality,
 )
 from .coupling import (

@@ -10,13 +10,14 @@ circuit's pre-measurement state equals the GHZ state, and measuring the
 parity circuit yields (0^n, 0) or (a, 1) with equal probability, where a
 is ``effective_a``. A gate is a plain ``(kind, operands)`` record, as in
 Stim's flat (gate, targets) records: ``Gate`` is a ``NamedTuple`` that
-checks nothing, and the factories ``h``, ``x``, ``cnot`` and ``measure``
-build it directly. ``Circuit`` holds every gate rule and checks each gate
-once: a known kind, a tuple of int operands of its count, qubits in range,
-distinct cnot qubits, and the measurement record. Measure gates, if any,
-are the last gates, the j-th is ``measure(measured_qubits[j], j)``, and
-together they cover every measured qubit, so each measure writes a
-declared classical bit (OpenQASM 2.0, Cross et al. 2017).
+checks nothing, and the factories ``h``, ``x`` and ``cnot`` build it
+directly. ``Circuit`` holds every gate rule and checks each gate once: a
+known kind, a tuple of int operands of its count, qubits in range, and
+distinct cnot qubits. A circuit's gates are h/x/cnot only; its one
+measurement is ``measured_qubits``, measured after every gate, the j-th
+qubit into classical bit j. ``emit_qasm``, ``circuit_to_json_dict`` and
+``Circuit.counts`` render those terminal measures from the field, so each
+measure writes a declared classical bit (OpenQASM 2.0, Cross et al. 2017).
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .paths import ConnectionPath
 H = "h"
 X = "x"
 CNOT = "cnot"
-MEASURE = "measure"
+MEASURE = "measure"  # the rendering key of the terminal measures, not a gate kind
 
-_QASM = {H: "h q[%d];", X: "x q[%d];", CNOT: "cx q[%d],q[%d];", MEASURE: "measure q[%d] -> c[%d];"}
+_QASM = {H: "h q[%d];", X: "x q[%d];", CNOT: "cx q[%d],q[%d];"}
 
 
 class IllegalCouplingError(ValueError):
@@ -48,8 +49,8 @@ _tuple_new = tuple.__new__
 class Gate(NamedTuple):
     """One gate; plain ``(kind, operands)`` tuples equal it and hash the same.
 
-    Operands are (qubit,) for h/x, (control, target) for cnot and
-    (qubit, classical_bit) for measure. ``Circuit`` checks them.
+    Operands are (qubit,) for h/x and (control, target) for cnot.
+    ``Circuit`` checks them.
     """
 
     kind: str
@@ -68,24 +69,19 @@ def cnot(control: int, target: int) -> Gate:
     return _tuple_new(Gate, (CNOT, (control, target)))
 
 
-def measure(qubit: int, clbit: int) -> Gate:
-    return _tuple_new(Gate, (MEASURE, (qubit, clbit)))
-
-
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over ``width`` physical qubits.
+    """Ordered h/x/cnot gates over ``width`` physical qubits, then one measurement of ``measured_qubits``.
 
-    ``measured_qubits`` fixes the classical bit order: the i-th listed
-    qubit writes classical bit i, and bit 0 renders leftmost in bitstrings.
-    Construction raises ValueError, naming the gate index and the rule, for
-    an unknown kind, operands that are not a tuple of ints (a bool or an
-    integral float is not an int), a wrong operand count, a qubit outside
-    [0, width), coinciding cnot qubits, or a measure outside the measurement
-    record: the last len(measured_qubits) gates, the j-th
-    ``measure(measured_qubits[j], j)``. Measured qubits must be distinct
-    ints in range. A circuit may also declare measured qubits and hold no
-    measure gate.
+    Every measured qubit is measured after the last gate, the i-th listed
+    qubit into classical bit i, and bit 0 renders leftmost in bitstrings.
+    Construction raises ValueError for a width that is not a positive int
+    (a bool is not an int), gates or measured qubits not held in a tuple,
+    measured qubits that are not distinct ints in range, and, naming the
+    gate index and the rule, for an unknown kind (``measure`` included),
+    operands that are not a tuple of ints (a bool or an integral float is
+    not an int), a wrong operand count, a qubit outside [0, width), or
+    coinciding cnot qubits.
     """
 
     width: int
@@ -94,15 +90,15 @@ class Circuit:
 
     def __post_init__(self):
         width, gates, measured = self.width, self.gates, self.measured_qubits
+        if width.__class__ is not int or width < 1:
+            raise ValueError(f"width {width!r} is not a positive int")
+        if gates.__class__ is not tuple or measured.__class__ is not tuple:
+            raise ValueError(f"gates and measured qubits must each be a tuple, so the circuit hashes; got a "
+                             f"{gates.__class__.__name__} and a {measured.__class__.__name__}")
         if len(set(measured)) != len(measured) or not all(q.__class__ is int and 0 <= q < width for q in measured):
             raise ValueError(f"measured qubit list {measured} holds a duplicate, a non-int or a qubit out of range "
                              f"[0, {width})")
-        record = tuple((MEASURE, (q, j)) for j, q in enumerate(measured))
-        end = len(gates) - len(record)
-        # Floats and bools compare equal to the record's ints, so the tail's operand classes are checked too.
-        in_record = gates[end:] == record and all(q.__class__ is int and j.__class__ is int
-                                                  for _, (q, j) in gates[end:])
-        for i, (kind, operands) in enumerate(gates[:end] if in_record else gates):
+        for i, (kind, operands) in enumerate(gates):
             if operands.__class__ is tuple:
                 if kind == CNOT and len(operands) == 2:
                     control, target = operands
@@ -115,8 +111,8 @@ class Circuit:
             raise ValueError(f"gate {i} ({kind!r}, {operands!r}): {self._broken_rule(kind, operands)}")
 
     def _broken_rule(self, kind, operands) -> str:
-        """The rule a gate outside the measurement record breaks; only rejection calls this."""
-        if kind not in (H, X, CNOT, MEASURE):
+        """The rule a rejected gate breaks; only rejection calls this."""
+        if kind not in (H, X, CNOT):
             return "unknown gate kind"
         if operands.__class__ is not tuple:
             return f"operands are a {operands.__class__.__name__}, not a tuple"
@@ -125,15 +121,16 @@ class Circuit:
             return f"{kind} takes {arity} operands, got {len(operands)}"
         if any(q.__class__ is not int for q in operands):
             return "operand is not an int"
-        if kind == MEASURE:
-            return "outside the measurement record: the last gates must be measure(measured_qubits[j], j) for all j"
         if kind == CNOT and operands[0] == operands[1]:
             return "cnot control and target coincide"
         return f"qubit out of range [0, {self.width})"
 
     def counts(self) -> dict[str, int]:
-        """Number of gates of each kind, in order of first appearance."""
-        return dict(Counter(map(itemgetter(0), self.gates)))
+        """Number of gates of each kind, in order of first appearance, then the measures if any."""
+        counts = dict(Counter(map(itemgetter(0), self.gates)))
+        if self.measured_qubits:
+            counts[MEASURE] = len(self.measured_qubits)
+        return counts
 
 
 class OraclePattern(Enum):
@@ -168,19 +165,9 @@ def ghz_gates(cmap: CouplingMap, path: ConnectionPath) -> list[Gate]:
     return gates
 
 
-def measured_circuit(width: int, gates: list[Gate], qubits) -> Circuit:
-    """Circuit of ``gates`` plus terminal measurements mapping the i-th listed qubit to bit i.
-
-    Extends ``gates`` in place and constructs the one Circuit.
-    """
-    qubits = tuple(qubits)
-    gates.extend(measure(q, i) for i, q in enumerate(qubits))
-    return Circuit(width=width, gates=tuple(gates), measured_qubits=qubits)
-
-
 def build_ghz(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
     """GHZ preparation over the involved qubits, then measure them in involved order."""
-    return measured_circuit(cmap.num_qubits, ghz_gates(cmap, path), path.involved())
+    return Circuit(cmap.num_qubits, tuple(ghz_gates(cmap, path)), path.involved())
 
 
 def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
@@ -192,7 +179,7 @@ def build_envariance(cmap: CouplingMap, path: ConnectionPath) -> Circuit:
     involved = path.involved()
     gates = ghz_gates(cmap, path)
     gates.extend(x(q) for q in involved)
-    return measured_circuit(cmap.num_qubits, gates, involved)
+    return Circuit(cmap.num_qubits, tuple(gates), involved)
 
 
 def _selected_pairs(path: ConnectionPath, pattern: OraclePattern) -> tuple[tuple[int, int], ...]:
@@ -235,7 +222,7 @@ def build_parity(cmap: CouplingMap, path: ConnectionPath, pattern: OraclePattern
     for new, anchor in _selected_pairs(path, pattern):
         gates.extend(cnot_legal(cmap, new, anchor))
     gates.extend(h(q) for q in involved)
-    return measured_circuit(cmap.num_qubits, gates, involved)
+    return Circuit(cmap.num_qubits, tuple(gates), involved)
 
 
 def verify_legality(cmap: CouplingMap, circuit: Circuit) -> list[str]:
@@ -253,18 +240,24 @@ def emit_qasm(circuit: Circuit) -> str:
 
     One quantum register ``q`` of the circuit width; a classical register
     ``c`` sized to the measured qubits, omitted when nothing is measured.
+    The gates come first, then one measure per measured qubit, in bit order.
     """
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
     if circuit.measured_qubits:
         lines.append(f"creg c[{len(circuit.measured_qubits)}];")
     lines += [_QASM[kind] % operands for kind, operands in circuit.gates]
+    lines += [f"measure q[{q}] -> c[{j}];" for j, q in enumerate(circuit.measured_qubits)]
     return "\n".join(lines) + "\n"
 
 
 def circuit_to_json_dict(circuit: Circuit) -> dict:
-    """Debug representation: plain dict of width, gates and measured qubits."""
+    """Debug representation: plain dict of width, gates and measured qubits.
+
+    The gate list ends with the terminal measures, each ``{"kind": "measure", "operands": [qubit, bit]}``.
+    """
     return {
         "width": circuit.width,
-        "gates": [{"kind": kind, "operands": list(operands)} for kind, operands in circuit.gates],
+        "gates": [{"kind": kind, "operands": list(operands)} for kind, operands in circuit.gates]
+        + [{"kind": MEASURE, "operands": [q, j]} for j, q in enumerate(circuit.measured_qubits)],
         "measured_qubits": list(circuit.measured_qubits),
     }

@@ -186,7 +186,7 @@ def _cmd_compile(args) -> int:
     if a_string is not None:
         print(f"effective a: {a_string}")
     counts = circuit.counts()
-    print(f"wrote {Path(args.out) / 'circuit.qasm'} ({circuit.width} qubits, {len(circuit.gates)} gates: {counts})")
+    print(f"wrote {Path(args.out) / 'circuit.qasm'} ({circuit.width} qubits, {sum(counts.values())} gates: {counts})")
     return 0
 
 

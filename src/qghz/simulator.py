@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .circuits import CNOT, H, MEASURE, X, Circuit
+from .circuits import CNOT, H, X, Circuit
 
 # Largest support dimension r listed: 2^r outcomes, checked before any
 # outcome is listed.
@@ -74,7 +74,9 @@ def outcome_keys(circuit: Circuit) -> tuple[int, list[int]]:
 
     Key bit k-1-p holds the p-th measured qubit, so ``format(key, f"0{k}b")``
     is the bitstring with the first measured qubit leftmost. Each of the 2^r
-    keys has probability exactly 0.5 ** r. The tableau runs over the
+    keys has probability exactly 0.5 ** r. Every gate is h, x or cnot, and
+    the measured qubits are measured once, after the last gate, so the
+    tableau applies every gate before it reads an outcome. It runs over the
     involved qubits (gate operands plus measured qubits), indexed 0..m-1 in
     ascending physical order. Its m stabilizer rows are kept by column:
     ``xs[i]`` and ``zs[i]`` hold involved qubit i's x and z bits (bit j =
@@ -86,8 +88,7 @@ def outcome_keys(circuit: Circuit) -> tuple[int, list[int]]:
     if not circuit.measured_qubits:
         raise ValueError("circuit declares no measured qubits")
     involved = set(circuit.measured_qubits)
-    # A Circuit's measure gates are its measurement record, whose qubits are already in.
-    involved.update(*(operands for kind, operands in circuit.gates if kind != MEASURE))
+    involved.update(*(operands for _, operands in circuit.gates))
     if len(involved) > MAX_INVOLVED_QUBITS:
         raise ValueError(f"circuit involves {len(involved)} qubits; the simulator takes at most "
                          f"MAX_INVOLVED_QUBITS = {MAX_INVOLVED_QUBITS}")

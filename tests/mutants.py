@@ -148,11 +148,6 @@ MUTANTS = (
            "target.__class__ is int and control != target",
            "target.__class__ is int",
            (VALIDATION + "test_cnot_needs_distinct_operands",)),
-    Mutant("measure rule dropped", CIRCUITS,
-           "enumerate(gates[:end] if in_record else gates)",
-           "enumerate(gate for gate in gates if gate[0] != MEASURE)",
-           (VALIDATION + "test_measure_classical_bit_must_be_declared",
-            VALIDATION + "test_measures_must_be_the_measurement_record")),
     Mutant("operand int test dropped", CIRCUITS,
            "len(operands) == 1 and operands[0].__class__ is int",
            "len(operands) == 1",
@@ -161,14 +156,30 @@ MUTANTS = (
            "if operands.__class__ is tuple:",
            "if True:",
            (GATE_RULES,)),
-    Mutant("measure record operand classes unchecked", CIRCUITS,
-           "all(q.__class__ is int and j.__class__ is int",
-           "all(True",
-           (GATE_RULES,)),
     Mutant("h/x range test < -> <=", CIRCUITS,
            "and 0 <= operands[0] < width):",
            "and 0 <= operands[0] <= width):",
            (VALIDATION + "test_circuit_rejects_out_of_range_qubits",)),
+    Mutant("QASM measure operands swapped", CIRCUITS,
+           'f"measure q[{q}] -> c[{j}];"',
+           'f"measure q[{j}] -> c[{q}];"',
+           (VALIDATION + "test_measured_qubits_without_measure_gates",)),
+    Mutant("circuit.json drops its measures", CIRCUITS,
+           '\n        + [{"kind": MEASURE, "operands": [q, j]} for j, q in enumerate(circuit.measured_qubits)],',
+           ",",
+           ("tests/test_golden.py::test_outputs_match_golden_bytes[compile-ghz-qx5-n1]",)),
+    Mutant("counts() drops the measures", CIRCUITS,
+           "counts[MEASURE] = len(self.measured_qubits)",
+           "pass",
+           ("tests/test_cli.py::TestCompile::test_golden_cases_print_their_summary[compile-ghz-qx5-n1]",)),
+    Mutant("container check dropped", CIRCUITS,
+           "if gates.__class__ is not tuple or measured.__class__ is not tuple:",
+           "if False:",
+           (VALIDATION + "test_gates_are_a_tuple", VALIDATION + "test_measured_qubits_are_a_tuple")),
+    Mutant("width check dropped", CIRCUITS,
+           "if width.__class__ is not int or width < 1:",
+           "if False:",
+           (VALIDATION + "test_width_is_a_positive_int",)),
 )
 
 

@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from qghz import kernels
-from qghz.circuits import CNOT, H, MEASURE, X
+from qghz.circuits import CNOT, H, X
 
 
 def closure_ranks(num_qubits: int, edges) -> list[int]:
@@ -190,13 +190,12 @@ def marginal_loop(amps, qubits) -> np.ndarray:
 
 
 def loop_run_exact(circuit) -> np.ndarray:
-    """Amplitudes after the circuit's unitary gates, from |0...0>, by the loop kernels."""
+    """Amplitudes after the circuit's gates, from |0...0>, by the loop kernels."""
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[0] = 1.0
     loops = {"h": h_loop, "x": x_loop, "cnot": cnot_loop}
     for gate in circuit.gates:
-        if gate.kind in loops:
-            loops[gate.kind](amps, *gate.operands)
+        loops[gate.kind](amps, *gate.operands)
     return amps
 
 
@@ -272,8 +271,7 @@ def _apply_inplace(amps: np.ndarray, gate) -> None:
 
 def apply_gate(state: StateVector, gate) -> StateVector:
     """Return the state after one unitary gate; the input is untouched."""
-    qubits = gate.operands if gate.kind != MEASURE else gate.operands[:1]
-    for q in qubits:
+    for q in gate.operands:
         if not (0 <= q < state.num_qubits):
             raise IndexError(f"qubit {q} out of range [0, {state.num_qubits})")
     amps = state.amplitudes.copy()
@@ -282,14 +280,13 @@ def apply_gate(state: StateVector, gate) -> StateVector:
 
 
 def run_exact(circuit) -> StateVector:
-    """State after all non-measure gates, starting from |0...0>, over the circuit's full width."""
+    """State after every gate, starting from |0...0>, over the circuit's full width."""
     if circuit.width > MAX_STATEVECTOR_QUBITS:
         raise ValueError(f"simulating {circuit.width} qubits exceeds the statevector maximum of "
                          f"{MAX_STATEVECTOR_QUBITS}")
     state = zero_state(circuit.width)
     for gate in circuit.gates:
-        if gate.kind != MEASURE:
-            _apply_inplace(state.amplitudes, gate)
+        _apply_inplace(state.amplitudes, gate)
     return state
 
 

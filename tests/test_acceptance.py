@@ -150,7 +150,7 @@ def test_criterion_06_gate_count_audit():
                 counts.get(CNOT, 0) == n - 1
                 and counts.get("h", 0) == 1 + 4 * reversed_pairs
                 and counts.get("measure", 0) == n
-                and len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs + n
+                and len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs
             )
             if not ok:
                 _report(6, "gate-count audit", False, f"{map_name} n={n}: {counts}")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_connected_map
 from helpers import exact_distribution, line_map
 from oracles import reference_distribution, reparse_qasm
-from qghz import simulator
+from qghz import circuits, simulator
 from qghz.circuits import (
     CNOT,
     Circuit,
@@ -20,14 +20,13 @@ from qghz.circuits import (
     build_envariance,
     build_ghz,
     build_parity,
+    circuit_to_json_dict,
     cnot,
     cnot_legal,
     effective_a,
     emit_qasm,
     ghz_gates,
     h,
-    measure,
-    measured_circuit,
     verify_legality,
     x,
 )
@@ -39,8 +38,17 @@ BELL_PATH = ConnectionPath(root=0, pairs=((1, 0),))
 CHAIN = CouplingMap(3, [(0, 1), (1, 2)])
 
 
+KINDS = {"h": "h", "x": "x", "cnot": "cx"}
+
+
 def path_on(cmap, n):
     return create_path(cmap, most_connected(rank_all(cmap)), n)
+
+
+def qasm_ops(circuit) -> list[tuple]:
+    """The ops ``reparse_qasm`` reads back: every gate, then the j-th measured qubit into bit j."""
+    return ([(KINDS[kind], *operands) for kind, operands in circuit.gates]
+            + [("measure", q, j) for j, q in enumerate(circuit.measured_qubits)])
 
 
 class TestCnotLegal:
@@ -57,8 +65,13 @@ class TestCnotLegal:
 
 class TestGateAndCircuitValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="gate 0 .*unknown gate kind"):
-            Circuit(1, (("t", (0,)),))
+        # measure is not a kind either: measured_qubits is the one measurement record, so a measure
+        # among the gates, even the one it would render, is rejected wherever it stands.
+        assert not hasattr(circuits, "measure") and not hasattr(circuits, "measured_circuit")
+        measure = ("measure", (0, 0))
+        for gates, i in (((("t", (0,)),), 0), ((measure,), 0), ((h(0), measure), 1), ((measure, h(0)), 0)):
+            with pytest.raises(ValueError, match=f"gate {i} .*unknown gate kind"):
+                Circuit(1, gates, (0,))
 
     def test_cnot_needs_distinct_operands(self):
         for gate in (cnot(1, 1), Gate("cnot", (1, 1)), ("cnot", (1, 1))):
@@ -66,7 +79,7 @@ class TestGateAndCircuitValidation:
                 Circuit(2, (h(0), gate))
 
     def test_constructor_checks_arity(self):
-        for kind, operands in (("h", (0, 1)), ("x", ()), ("cnot", (0,)), ("measure", (0, 1, 2))):
+        for kind, operands in (("h", (0, 1)), ("x", ()), ("cnot", (0,)), ("cnot", (0, 1, 2))):
             with pytest.raises(ValueError, match="operands"):
                 Circuit(3, ((kind, operands),))
 
@@ -79,7 +92,7 @@ class TestGateAndCircuitValidation:
 
     def test_factories_equal_the_record_constructor(self):
         assert h(3) == Gate("h", (3,)) == ("h", (3,)) and hash(h(3)) == hash(("h", (3,)))
-        assert (x(2), cnot(0, 1), measure(4, 0)) == (Gate("x", (2,)), Gate("cnot", (0, 1)), Gate("measure", (4, 0)))
+        assert (x(2), cnot(0, 1)) == (Gate("x", (2,)), Gate("cnot", (0, 1)))
         assert repr(cnot(0, 1)) == "Gate(kind='cnot', operands=(0, 1))"
         # A line rooted at its end: every CNOT is an inverse-CNOT sandwich.
         cmap = line_map(1108)
@@ -88,7 +101,6 @@ class TestGateAndCircuitValidation:
         for new, anchor in path.pairs:
             rebuilt += [Gate("h", (anchor,)), Gate("h", (new,)), Gate("cnot", (new, anchor)),
                         Gate("h", (new,)), Gate("h", (anchor,))]
-        rebuilt += [Gate("measure", (q, i)) for i, q in enumerate(path.involved())]
         assert build_ghz(cmap, path) == Circuit(1108, tuple(rebuilt), path.involved())
 
     def test_circuit_rejects_out_of_range_qubits(self):
@@ -101,11 +113,27 @@ class TestGateAndCircuitValidation:
         (("x", (1.0,)), "not an int"),
         (("cnot", (True, 0)), "not an int"),
         (("h", [0]), "operands are a list, not a tuple"),  # used to pass, then fail in emit_qasm
-        (("measure", (0.0, 0)), "not an int"),
+        (("cnot", (0, 1.0)), "not an int"),
     ])
     def test_operands_are_a_tuple_of_ints(self, gate, rule):
         with pytest.raises(ValueError, match=f"gate 1 .*{rule}"):
-            Circuit(2, (cnot(0, 1), gate) + ((measure(0, 0),) if gate[0] != "measure" else ()), (0,))
+            Circuit(2, (cnot(0, 1), gate), (0,))
+
+    def test_width_is_a_positive_int(self):
+        # Each would otherwise be emitted as qreg q[2.5], q[2.0], q[True], q[0] or q[-1].
+        for width in (2.5, 2.0, True, 0, -1):
+            with pytest.raises(ValueError, match="width .* not a positive int"):
+                Circuit(width, ())
+
+    def test_gates_are_a_tuple(self):
+        # A list would leave the frozen circuit unhashable.
+        with pytest.raises(ValueError, match="must each be a tuple, so the circuit hashes; got a list"):
+            Circuit(2, [h(0)], (0,))
+        assert hash(Circuit(2, (h(0),), (0,))) == hash(Circuit(2, (h(0),), (0,)))
+
+    def test_measured_qubits_are_a_tuple(self):
+        with pytest.raises(ValueError, match="must each be a tuple, so the circuit hashes; got a tuple and a list"):
+            Circuit(2, (h(0),), [0])
 
     def test_measured_qubits_are_ints(self):
         for measured in ((0.0,), (True,), (0, 1.5)):
@@ -121,32 +149,16 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Circuit(width=2, gates=(), measured_qubits=(0, 0))
 
-    def test_measure_classical_bit_must_be_declared(self):
-        # OpenQASM 2.0 measures into a declared creg; with no measured qubits there is none.
-        with pytest.raises(ValueError, match="gate 0 .*measurement record"):
-            Circuit(width=1, gates=(measure(0, 5),))
-
-    @pytest.mark.parametrize("gates, measured", [
-        ((h(0), measure(1, 0)), (0,)),  # samples q0 but would measure q1
-        ((h(0), measure(0, 1)), (0,)),  # the right qubit into the wrong bit
-        ((measure(0, 0), h(0)), (0,)),  # mid-circuit
-        ((measure(0, 0), h(1), measure(1, 1)), (0, 1)),  # mid-circuit inside the record
-        ((h(0), measure(0, 0)), (0, 1)),  # covers part of the measured qubits
-        ((measure(1, 1), measure(0, 0)), (0, 1)),  # record out of order
-    ])
-    def test_measures_must_be_the_measurement_record(self, gates, measured):
-        with pytest.raises(ValueError, match="measurement record"):
-            Circuit(2, gates, measured)
-
     def test_measured_qubits_without_measure_gates(self):
+        # Declared means measured: every measured qubit gets its measure, in bit order, after the gates.
         circuit = Circuit(2, (h(0),), (1, 0))
-        assert emit_qasm(circuit).endswith("creg c[2];\nh q[0];\n")
+        assert emit_qasm(circuit).endswith("creg c[2];\nh q[0];\nmeasure q[1] -> c[0];\nmeasure q[0] -> c[1];\n")
 
 
 class TestBuildGhz:
     def test_bell_pair(self):
         circuit = build_ghz(BELL_MAP, BELL_PATH)
-        assert circuit.gates == (h(0), cnot(0, 1), measure(0, 0), measure(1, 1))
+        assert circuit.gates == (h(0), cnot(0, 1))
         assert circuit.measured_qubits == (0, 1)
 
     def test_measures_the_involved_qubits_last(self):
@@ -154,9 +166,10 @@ class TestBuildGhz:
         path = path_on(cmap, 16)
         circuit = build_ghz(cmap, path)
         involved = path.involved()
-        assert circuit.gates[:-16] == tuple(ghz_gates(cmap, path))
-        assert circuit.gates[-16:] == tuple(measure(q, i) for i, q in enumerate(involved))
+        assert circuit.gates == tuple(ghz_gates(cmap, path))
         assert circuit.measured_qubits == involved
+        measures = [f"measure q[{q}] -> c[{i}];" for i, q in enumerate(involved)]
+        assert emit_qasm(circuit).splitlines()[-16:] == measures
 
     def test_logical_gate_count(self):
         # 1 root H + (n-1) logical CNOTs; inverse expansion adds 4 H each
@@ -169,7 +182,8 @@ class TestBuildGhz:
             assert counts[CNOT] == n - 1
             assert counts["h"] == 1 + 4 * reversed_pairs
             assert counts["measure"] == n
-            assert len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs + n
+            assert len(circuit.gates) == 1 + (n - 1) + 4 * reversed_pairs
+            assert sum(counts.values()) == len(circuit.gates) + n
 
     def test_chain_rooted_at_tail_uses_inverse_cnots(self):
         path = create_path(CHAIN, 2, 3)
@@ -178,32 +192,27 @@ class TestBuildGhz:
             h(2),
             h(2), h(1), cnot(1, 2), h(1), h(2),
             h(1), h(0), cnot(0, 1), h(0), h(1),
-            measure(2, 0), measure(1, 1), measure(0, 2),
         )
+        assert circuit.measured_qubits == (2, 1, 0)
 
 
 class TestBuildEnvariance:
     def test_bell_structure(self):
         circuit = build_envariance(BELL_MAP, BELL_PATH)
-        assert circuit.gates == (
-            h(0), cnot(0, 1), x(0), x(1), measure(0, 0), measure(1, 1),
-        )
+        assert circuit.gates == (h(0), cnot(0, 1), x(0), x(1))
         assert circuit.measured_qubits == (0, 1)
 
     def test_qx4_n5_layer_structure(self):
         # GHZ prefix, X on the first ceil(5/2)=3 involved qubits, X on the
-        # remaining 2, then 5 measurements
+        # remaining 2, then 5 measured qubits
         cmap = bundled_map("qx4")
         path = path_on(cmap, 5)
         circuit = build_envariance(cmap, path)
         ghz_len = len(ghz_gates(cmap, path))
         tail = circuit.gates[ghz_len:]
         involved = path.involved()
-        assert tail == tuple(
-            [x(q) for q in involved[:3]]
-            + [x(q) for q in involved[3:]]
-            + [measure(q, i) for i, q in enumerate(involved)]
-        )
+        assert tail == tuple([x(q) for q in involved[:3]] + [x(q) for q in involved[3:]])
+        assert circuit.measured_qubits == involved
 
     def test_x_layer_split_sizes(self):
         cmap = bundled_map("qx5")
@@ -243,10 +252,8 @@ class TestBuildParity:
         path = path_on(cmap, 4)
         circuit = build_parity(cmap, path, OraclePattern.ALL_ZEROS)
         involved = path.involved()
-        assert circuit.gates == tuple(
-            [h(q) for q in involved[1:]] + [h(q) for q in involved] +
-            [measure(q, i) for i, q in enumerate(involved)]
-        )
+        assert circuit.gates == tuple([h(q) for q in involved[1:]] + [h(q) for q in involved])
+        assert circuit.measured_qubits == involved
 
     def test_effective_a_per_pattern(self):
         cmap = bundled_map("qx4")
@@ -310,8 +317,7 @@ class TestEmitQasm:
             width, creg, ops = reparse_qasm(emit_qasm(circuit))
             assert width == 16
             assert creg == len(circuit.measured_qubits)
-            kinds = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
-            assert ops == [(kinds[g.kind], *g.operands) for g in circuit.gates]
+            assert ops == qasm_ops(circuit)
 
     def test_roundtrip_at_1108_qubits(self):
         # Rooted at the line's end, every GHZ and envariance CNOT runs against
@@ -319,7 +325,6 @@ class TestEmitQasm:
         cmap = line_map(1108)
         path = path_on(cmap, 1108)
         assert path.root == 1107
-        kinds = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
         for circuit in (
             build_ghz(cmap, path),
             build_envariance(cmap, path),
@@ -328,7 +333,7 @@ class TestEmitQasm:
             assert verify_legality(cmap, circuit) == []
             width, creg, ops = reparse_qasm(emit_qasm(circuit))
             assert (width, creg) == (1108, len(circuit.measured_qubits))
-            assert ops == [(kinds[g.kind], *g.operands) for g in circuit.gates]
+            assert ops == qasm_ops(circuit)
         assert build_ghz(cmap, path).counts() == {"h": 1 + 4 * 1107, "cnot": 1107, "measure": 1108}
 
     def test_qx5_full_ghz_gate_audit(self):
@@ -345,9 +350,14 @@ class TestEmitQasm:
 
 
 def test_measured_circuit_appends_in_listed_order():
-    circuit = measured_circuit(3, ghz_gates(CHAIN, create_path(CHAIN, 2, 3)), (1, 0, 2))
-    assert circuit.measured_qubits == (1, 0, 2)
-    assert circuit.gates[-3:] == (measure(1, 0), measure(0, 1), measure(2, 2))
+    # QASM, the JSON dump and counts() render the measures after the gates, the i-th listed qubit into bit i.
+    circuit = Circuit(3, tuple(ghz_gates(CHAIN, create_path(CHAIN, 2, 3))), (1, 0, 2))
+    assert emit_qasm(circuit).endswith("measure q[1] -> c[0];\nmeasure q[0] -> c[1];\nmeasure q[2] -> c[2];\n")
+    assert circuit_to_json_dict(circuit)["gates"][len(circuit.gates):] == [
+        {"kind": "measure", "operands": [1, 0]}, {"kind": "measure", "operands": [0, 1]},
+        {"kind": "measure", "operands": [2, 2]}]
+    assert circuit.counts() == {"h": 9, "cnot": 2, "measure": 3}
+    assert Circuit(3, circuit.gates).counts() == {"h": 9, "cnot": 2}
 
 
 @st.composite
@@ -387,9 +397,6 @@ def compiled_experiments(draw):
     return cmap, experiment, build_parity(cmap, path, experiment), expected
 
 
-KINDS = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
-
-
 @given(compiled_experiments())
 @settings(max_examples=60, deadline=None)
 def test_compiled_circuits_are_legal_and_compute_their_closed_forms(compiled):
@@ -397,7 +404,7 @@ def test_compiled_circuits_are_legal_and_compute_their_closed_forms(compiled):
     assert verify_legality(cmap, circuit) == []
     width, creg, ops = reparse_qasm(emit_qasm(circuit))
     assert (width, creg) == (cmap.num_qubits, len(circuit.measured_qubits))
-    assert ops == [(KINDS[kind], *operands) for kind, operands in circuit.gates]
+    assert ops == qasm_ops(circuit)
     # Every correct compile has support dimension 1, so a cap of 1 makes a
     # wrong one raise at once instead of listing up to 2^20 long keys.
     with mock.patch.object(simulator, "MAX_SUPPORT_DIMENSION", 1):
@@ -405,14 +412,16 @@ def test_compiled_circuits_are_legal_and_compute_their_closed_forms(compiled):
     assert list(distribution.items()) == [(key, 0.5) for key in expected]
 
 
-ARITY = {"h": 1, "x": 1, "cnot": 2, "measure": 2}
+ARITY = {"h": 1, "x": 1, "cnot": 2}
 
 
 def follows_gate_rules(width, gates, measured) -> bool:
-    """The gate rules, stated apart from ``Circuit``: measured qubits distinct ints in range, every
-    gate a known kind with a tuple of int operands of its count (a bool or a float is not an int),
-    non-measure qubits in range and distinct for a cnot, and measure gates either absent or exactly
-    the measurement record at the end."""
+    """The gate rules, stated apart from ``Circuit``: a positive int width (a bool is not an int),
+    gates and measured qubits each held in a tuple, measured qubits distinct ints in range, and
+    every gate a known kind (h, x or cnot; measure is not one) with a tuple of int operands of its
+    count (a bool or a float is not an int), its qubits in range and distinct for a cnot."""
+    if type(width) is not int or width < 1 or type(gates) is not tuple or type(measured) is not tuple:
+        return False
     if any(type(q) is not int for q in measured) or any(
             type(operands) is not tuple or any(type(q) is not int for q in operands) for _, operands in gates):
         return False
@@ -420,13 +429,8 @@ def follows_gate_rules(width, gates, measured) -> bool:
         return False
     if any(kind not in ARITY or len(operands) != ARITY[kind] for kind, operands in gates):
         return False
-    body = [gate for gate in gates if gate[0] != "measure"]
-    # As many gates from the end as there are measures: any non-measure among them is after a measure.
-    tail = gates[len(body):]
-    if tail and list(tail) != [("measure", (q, j)) for j, q in enumerate(measured)]:
-        return False
     return all(all(0 <= q < width for q in operands) and len(set(operands)) == len(operands)
-               for _, operands in body)
+               for _, operands in gates)
 
 
 def not_int(q):
@@ -436,11 +440,11 @@ def not_int(q):
 
 @st.composite
 def raw_circuits(draw):
-    """(width, gates, measured qubits) from raw (kind, operands) tuples: legal h/x/cnot gates, then
-    the measurement record or a prefix of it, and at times one more gate anywhere: any kind with
-    0-3 qubits, or a known kind with its operand count, every operand in [-1, width]. At times one
-    operand, measured qubit or measure operand is then made a float or a bool, or one gate's
-    operands a list."""
+    """(width, gates, measured qubits) from raw (kind, operands) tuples: legal h/x/cnot gates, and
+    at times one more gate anywhere: any kind (measure included) with 0-3 qubits, or a known kind
+    with its operand count, every operand in [-1, width]. At times one operand or measured qubit is
+    then made a float or a bool, one gate's operands a list, the gates or the measured qubits a
+    list, or the width a float, a bool or below 1."""
     width = draw(st.integers(1, 6))
     qubit, legal = st.integers(-1, width), st.integers(0, width - 1)
     unitary = st.tuples(st.sampled_from(["h", "x"]), st.tuples(legal))
@@ -450,8 +454,6 @@ def raw_circuits(draw):
     measured = tuple(draw(st.permutations(range(width)))[:draw(st.integers(0, width))])
     if draw(st.integers(0, 7)) == 0:  # maybe out of range or a duplicate
         measured += (draw(qubit),)
-    record = [("measure", (q, j)) for j, q in enumerate(measured)]
-    gates += record[:draw(st.integers(0, len(record)))] if draw(st.booleans()) else record
     if draw(st.booleans()):
         stray = st.one_of(
             st.tuples(st.sampled_from(["h", "x", "cnot", "measure", "t"]), st.lists(qubit, max_size=3).map(tuple)),
@@ -459,11 +461,16 @@ def raw_circuits(draw):
             st.tuples(st.sampled_from(["cnot", "measure"]), st.tuples(qubit, qubit)),
         )
         gates.insert(draw(st.integers(0, len(gates))), draw(stray))
-    change = draw(st.sampled_from(["none", "none", "operand", "measured", "list"]))
+    change = draw(st.sampled_from(["none"] * 4 + ["operand", "measured", "list", "containers", "width"]))
     if change == "measured" and measured:
         at = draw(st.integers(0, len(measured) - 1))
         measured = measured[:at] + (draw(not_int(measured[at])),) + measured[at + 1:]
-    elif change != "none" and any(operands for _, operands in gates):
+    elif change == "containers":
+        gates_list, measured_list = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+        return width, gates if gates_list else tuple(gates), list(measured) if measured_list else measured
+    elif change == "width":
+        width = draw(st.sampled_from([0, -1, float(width), width + 0.5] + ([True] if width == 1 else [])))
+    elif change in ("operand", "list") and any(operands for _, operands in gates):
         at = draw(st.sampled_from([i for i, (_, operands) in enumerate(gates) if operands]))
         kind, operands = gates[at]
         if change == "list":
@@ -484,8 +491,9 @@ def test_circuit_accepts_exactly_the_gate_rules(raw):
             Circuit(width, gates, measured)
         return
     circuit = Circuit(width, gates, measured)
+    hash(circuit)
     # reparse_qasm asserts each measure writes a bit below the declared creg.
-    assert reparse_qasm(emit_qasm(circuit)) == (width, len(measured), [(KINDS[k], *ops) for k, ops in gates])
+    assert reparse_qasm(emit_qasm(circuit)) == (width, len(measured), qasm_ops(circuit))
     if measured:
         k, keys = simulator.outcome_keys(circuit)
         # The statevector oracle reads .kind and .operands, so it gets the same gates as records.

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import qghz
 from oracles import reparse_qasm
+from test_golden import CASES, COMPILE_STDOUT
 from qghz.cli import _path_json, main, parse_queries
 from qghz.paths import ConnectionPath
 
@@ -122,6 +123,15 @@ class TestCompile:
         circuit_doc = read_json(out / "circuit.json")
         assert circuit_doc["width"] == 5
         assert {g["kind"] for g in circuit_doc["gates"]} <= {"h", "x", "cnot", "measure"}
+
+    @pytest.mark.parametrize("case", sorted(COMPILE_STDOUT))
+    def test_golden_cases_print_their_summary(self, case, tmp_path, capsys):
+        # The summary counts every gate and every terminal measure, as circuit.qasm holds them.
+        assert sorted(COMPILE_STDOUT) == sorted(name for name in CASES if name.startswith("compile-"))
+        out = tmp_path / case
+        assert run_cli(*CASES[case], "--out", str(out)) == 0
+        qasm = str(out / "circuit.qasm")
+        assert capsys.readouterr().out.splitlines() == [line.replace("{qasm}", qasm) for line in COMPILE_STDOUT[case]]
 
 
 class TestEnvariance:

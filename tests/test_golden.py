@@ -7,6 +7,8 @@ with the circuit cross-check, and two compiles that dump their path and gate
 list: a one-qubit GHZ (no path pairs) and an envariance circuit on qx4 with
 inverse-CNOT sandwiches. Each case is also replayed from its own
 manifest.json, with no argv but what the manifest and results.json record.
+``COMPILE_STDOUT`` is what each compile case prints; ``tests/test_cli.py``
+and ``tests/check_numpy_free_compile.py`` compare it line for line.
 Regenerate the copies only when outputs are meant to change, and record
 why in CHANGES.md:
 
@@ -50,6 +52,16 @@ CASES = {
     "compile-envariance-qx4-n5": [
         "compile", "--map", "qx4", "--experiment", "envariance", "-n", "5", "--dump-path", "--dump-circuit",
     ],
+}
+
+# The stdout lines of each compile case; "{qasm}" stands for the circuit.qasm path under --out.
+COMPILE_STDOUT = {
+    "compile-parity-qx5-n15": [
+        "effective a: 111111110000000",
+        "wrote {qasm} (16 qubits, 59 gates: {'h': 35, 'cnot': 8, 'measure': 16})",
+    ],
+    "compile-ghz-qx5-n1": ["wrote {qasm} (16 qubits, 2 gates: {'h': 1, 'measure': 1})"],
+    "compile-envariance-qx4-n5": ["wrote {qasm} (5 qubits, 27 gates: {'h': 13, 'cnot': 4, 'x': 5, 'measure': 5})"],
 }
 
 

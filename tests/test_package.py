@@ -16,7 +16,7 @@ import qghz
 EXPORTS = {
     "analysis": ("bhattacharyya", "perr_curve", "two_peak_distribution"),
     "circuits": ("Circuit", "Gate", "IllegalCouplingError", "OraclePattern", "build_envariance", "build_ghz",
-                 "build_parity", "cnot_legal", "effective_a", "emit_qasm", "measured_circuit", "verify_legality"),
+                 "build_parity", "cnot_legal", "effective_a", "emit_qasm", "verify_legality"),
     "coupling": ("CouplingMap", "MapFormatError", "bundled_map", "load_map", "load_map_file", "most_connected",
                  "rank_all", "resolve_map"),
     "paths": ("ConnectionPath", "UnreachableQubitsError", "create_path", "path_for"),

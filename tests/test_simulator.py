@@ -26,6 +26,7 @@ from qghz import simulator
 from qghz.analysis import BLOCK_OUTPUTS, BLOCK_SEEDS, envariance_histograms, perr_curve
 from qghz.circuits import (
     Circuit,
+    Gate,
     OraclePattern,
     build_envariance,
     build_ghz,
@@ -34,8 +35,6 @@ from qghz.circuits import (
     effective_a,
     ghz_gates,
     h,
-    measure,
-    measured_circuit,
     x,
 )
 from qghz.coupling import CouplingMap, bundled_map
@@ -85,7 +84,7 @@ class TestGateAction:
 
     def test_apply_gate_rejects_measurement(self):
         with pytest.raises(ValueError, match="unitary"):
-            apply_gate(zero_state(2), measure(0, 0))
+            apply_gate(zero_state(2), Gate("measure", (0, 0)))
 
 
 class TestRunExact:
@@ -195,7 +194,7 @@ class TestSample:
         # measure only the root of a Bell pair: uniform single bit
         cmap = CouplingMap(2, [(0, 1)])
         ghz = ghz_gates(cmap, create_path(cmap, 0, 2))
-        circuit = Circuit(width=2, gates=(*ghz, measure(0, 0)), measured_qubits=(0,))
+        circuit = Circuit(width=2, gates=tuple(ghz), measured_qubits=(0,))
         dist = exact_distribution(circuit)
         assert dist == pytest.approx({"0": 0.5, "1": 0.5})
 
@@ -219,7 +218,7 @@ def random_circuit(rng, width: int, num_gates: int = 12) -> Circuit:
     idle = sorted(set(range(width)) - set(touched))
     if idle and rng.random() < 0.5:
         measured.insert(int(rng.integers(0, len(measured) + 1)), int(rng.choice(idle)))
-    return measured_circuit(width, gates, measured)
+    return Circuit(width, tuple(gates), tuple(measured))
 
 
 def builder_circuits():
@@ -285,7 +284,7 @@ class TestSamplingMatchesFullWidthReference:
     def test_involved_width_is_capped(self):
         # Each H qubit adds one random outcome: 21 of them would list 2^21 keys.
         width = MAX_SUPPORT_DIMENSION + 1
-        circuit = measured_circuit(width, [h(q) for q in range(width)], range(width))
+        circuit = Circuit(width, tuple(h(q) for q in range(width)), tuple(range(width)))
         with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION"):
             sample(circuit, 10, seed=0)
 
@@ -310,10 +309,10 @@ class TestSamplingMatchesFullWidthReference:
             if rng.random() < 0.5:
                 gates.append(h(int(rng.integers(width))))
         with pytest.raises(ValueError, match="MAX_SUPPORT_DIMENSION = 20"):
-            exact_distribution(measured_circuit(width, list(gates), range(width)))
+            exact_distribution(Circuit(width, tuple(gates), tuple(range(width))))
         stopped = len(calls)
         calls.clear()
-        assert len(exact_distribution(measured_circuit(width, list(gates), range(12)))) == 1 << 12
+        assert len(exact_distribution(Circuit(width, tuple(gates), tuple(range(12))))) == 1 << 12
         assert 0 < stopped < len(calls) // 20
 
     def test_involved_qubits_are_capped_before_the_tableau(self):
@@ -384,7 +383,7 @@ def clifford_circuits(draw) -> Circuit:
     length = draw(st.integers(0, 60))
     gates = draw(st.lists(gate, min_size=length, max_size=length))
     measured = draw(st.permutations(range(width)))[: draw(st.integers(1, width))]
-    return measured_circuit(width, gates, measured)
+    return Circuit(width, tuple(gates), tuple(measured))
 
 
 class TestTableauMatchesStatevector:
@@ -393,7 +392,7 @@ class TestTableauMatchesStatevector:
     @given(clifford_circuits())
     # After cx(0, 1) h(0) one stabilizer is X0 Z1, which the second cx turns
     # into -Y0 Y1: only the CNOT's sign term gives outcomes 00 and 11.
-    @example(measured_circuit(2, [cnot(0, 1), h(0), cnot(0, 1)], (0, 1)))
+    @example(Circuit(2, (cnot(0, 1), h(0), cnot(0, 1)), (0, 1)))
     @settings(max_examples=300, deadline=None)
     def test_random_circuits(self, circuit):
         distribution = exact_distribution(circuit)

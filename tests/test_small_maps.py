@@ -19,6 +19,7 @@ import pytest
 
 from helpers import exact_distribution
 from oracles import UnionFind, closure_ranks, reparse_qasm
+from test_circuits import qasm_ops
 from qghz import simulator
 from qghz.circuits import (
     OraclePattern,
@@ -32,7 +33,6 @@ from qghz.circuits import (
 from qghz.coupling import CouplingMap, _ranks
 from qghz.paths import UnreachableQubitsError, path_for
 
-KINDS = {"h": "h", "x": "x", "cnot": "cx", "measure": "measure"}
 
 
 def pair_edges(a: int, b: int, choice: int) -> list[tuple[int, int]]:
@@ -74,7 +74,7 @@ def check_compiled(cmap: CouplingMap, circuit, expected: list[str]) -> None:
     assert verify_legality(cmap, circuit) == [], sorted(cmap.edges)
     width, creg, ops = reparse_qasm(emit_qasm(circuit))
     assert (width, creg) == (cmap.num_qubits, len(circuit.measured_qubits)), sorted(cmap.edges)
-    assert ops == [(KINDS[kind], *operands) for kind, operands in circuit.gates], sorted(cmap.edges)
+    assert ops == qasm_ops(circuit), sorted(cmap.edges)
     assert list(exact_distribution(circuit).items()) == [(key, 0.5) for key in expected], sorted(cmap.edges)
 
 
