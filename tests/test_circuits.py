@@ -149,6 +149,18 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Circuit(width=2, gates=(), measured_qubits=(0, 0))
 
+    def test_measure_classical_bit_must_be_declared(self):
+        # OpenQASM 2.0 measures into a declared creg; with no measured qubits there is none. A measure
+        # gate into an undeclared bit cannot be built, and the rendered measures stay inside c.
+        with pytest.raises(ValueError, match="gate 0 .*unknown gate kind"):
+            Circuit(width=1, gates=(("measure", (0, 5)),))
+        text = emit_qasm(Circuit(width=1, gates=(h(0),)))
+        assert "creg" not in text and "measure" not in text
+        text = emit_qasm(Circuit(width=3, gates=(h(0),), measured_qubits=(2, 0)))
+        assert "creg c[2];" in text
+        assert [line for line in text.splitlines() if line.startswith("measure")] == [
+            "measure q[2] -> c[0];", "measure q[0] -> c[1];"]
+
     def test_measured_qubits_without_measure_gates(self):
         # Declared means measured: every measured qubit gets its measure, in bit order, after the gates.
         circuit = Circuit(2, (h(0),), (1, 0))
